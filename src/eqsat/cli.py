@@ -1,7 +1,11 @@
 """Command-line front end: simplify terms, check equivalences, run benches.
 
-Exit codes: 0 success / proved equal, 1 equivalence unknown, 2 parse error,
-3 analysis contradiction.
+Exit codes:
+  0  success; `check-equiv`: every pair proved equal
+  1  `check-equiv`: some pair left unknown (saturation cannot disprove)
+  2  usage error or malformed input: a term, a line of the --pairs file,
+     or the rules file
+  3  analysis contradiction (the rules equate distinct constants)
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import click
 
 from . import bench as bench_module
 from .extraction import Extractor, ast_depth, ast_size
-from .language import ParseError, parse_term
+from .language import LanguageError, ParseError, Term, parse_term, read_sexp, tokenize
 from .runner import (
     RunnerConfig,
     StopReason,
@@ -38,7 +42,12 @@ def _load_setup(rules_name, lang_name, unsafe_math):
     else:
         lang, factory = math_domain.MATH, math_domain.make_egraph
     with open(rules_name, "r", encoding="utf-8") as handle:
-        rules = parse_rules(handle.read(), lang)
+        text = handle.read()
+    try:
+        rules = parse_rules(text, lang)
+    except LanguageError as exc:
+        click.echo(f"rules error: {exc}", err=True)
+        sys.exit(2)
     return lang, rules, factory
 
 
@@ -148,10 +157,15 @@ def check_equiv_cmd(lhs, rhs, rules_name, lang_name, iters, nodes, time_ms,
     if pairs_file:
         pairs = []
         with open(pairs_file, "r", encoding="utf-8") as handle:
-            for raw in handle:
+            for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     pairs.append(read_pair(line, lang))
+                except ParseError as exc:
+                    click.echo(f"parse error: {exc} (line {lineno})", err=True)
+                    sys.exit(2)
         if batched:
             verdicts, report = check_equiv_batched(
                 factory(), pairs, rules, config
@@ -193,21 +207,16 @@ def check_equiv_cmd(lhs, rhs, rules_name, lang_name, iters, nodes, time_ms,
     sys.exit(0 if result.equal else 1)
 
 
-def read_pair(line: str, lang):
-    """Split one line holding exactly two s-expressions."""
-    from .language import tokenize
-
+def read_pair(line: str, lang) -> tuple[Term, Term]:
+    """Read one line holding exactly two s-expressions."""
     tokens = tokenize(line)
-    depth = 0
-    for i, (tok, pos) in enumerate(tokens):
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth -= 1
-        if depth == 0:
-            split = tokens[i + 1][1] if i + 1 < len(tokens) else len(line)
-            return parse_term(line[:split], lang), parse_term(line[split:], lang)
-    raise ParseError("expected two terms on the line", 0)
+    first: list = []
+    second: list = []
+    at = read_sexp(tokens, 0, lang, first)
+    at = read_sexp(tokens, at, lang, second)
+    if at != len(tokens):
+        raise ParseError("trailing input after the second term", tokens[at][1])
+    return Term(tuple(first)), Term(tuple(second))
 
 
 @main.command("bench")

@@ -16,13 +16,14 @@ VARIADIC = None  # arity marker for list-like constructors
 
 
 class Leaf(NamedTuple):
-    """Payload of a childless node: a number, a boolean, or a symbol.
+    """Payload of a childless node: a number, a boolean, or a symbol; in a
+    pattern, also a variable.
 
     The kind tag participates in equality and ordering, so ``Leaf("bool",
     True)`` never collides with ``Leaf("num", 1)``.
     """
 
-    kind: str  # "num" | "bool" | "sym"
+    kind: str  # "num" | "bool" | "sym" | "var" (patterns only)
     value: object
 
 
@@ -203,53 +204,77 @@ def atom_to_leaf(token: str, lang: LanguageDef, position: int = 0) -> Leaf:
     raise ParseError(f"cannot parse atom {token!r} in language {lang.name}", position)
 
 
+def is_var(op: Op) -> bool:
+    """Is this a pattern variable leaf (kind "var", name with its `?`)?"""
+    return isinstance(op, Leaf) and op.kind == "var"
+
+
+def read_sexp(
+    tokens: list[tuple[str, int]],
+    at: int,
+    lang: LanguageDef,
+    nodes: list[tuple[Op, tuple[int, ...]]],
+    allow_vars: bool = False,
+) -> int:
+    """Read one s-expression starting at token index `at`, validating
+    operators and arities, and append its nodes to `nodes` in postorder;
+    returns the index just past it.  With `allow_vars`, `?name` atoms are
+    read as variable leaves; without it they are rejected as atoms."""
+    if at >= len(tokens):
+        raise ParseError("expected an expression", tokens[-1][1] if tokens else 0)
+    token, pos = tokens[at]
+    if token == "(":
+        if at + 1 >= len(tokens) or tokens[at + 1][0] in ("(", ")"):
+            raise ParseError("expected an operator after '('", pos)
+        head, head_pos = tokens[at + 1]
+        if head not in lang.operators:
+            raise UnknownOperatorError(f"unknown operator {head!r}", head_pos)
+        arity = lang.operators[head]
+        kids = []
+        at += 2
+        while at < len(tokens) and tokens[at][0] != ")":
+            at = read_sexp(tokens, at, lang, nodes, allow_vars)
+            kids.append(len(nodes) - 1)
+        if at >= len(tokens):
+            raise ParseError("unclosed '('", pos)
+        if arity is not VARIADIC and len(kids) != arity:
+            raise ArityError(
+                f"operator {head!r} expects {arity} arguments, got {len(kids)}",
+                head_pos,
+            )
+        nodes.append((sys.intern(head), tuple(kids)))
+        return at + 1
+    if token == ")":
+        raise ParseError("unexpected ')'", pos)
+    if allow_vars and token.startswith("?"):
+        if len(token) == 1:
+            raise ParseError("bare '?' is not a variable name", pos)
+        nodes.append((Leaf("var", sys.intern(token)), ()))
+    elif token in lang.operators:
+        arity = lang.operators[token]
+        if arity not in (VARIADIC, 0):
+            raise ArityError(
+                f"operator {token!r} expects {arity} arguments, got 0", pos
+            )
+        nodes.append((sys.intern(token), ()))
+    else:
+        nodes.append((atom_to_leaf(token, lang, pos), ()))
+    return at + 1
+
+
+def read_one(text: str, lang: LanguageDef, allow_vars: bool = False) -> tuple:
+    """Postorder nodes of the single s-expression that makes up `text`."""
+    tokens = tokenize(text)
+    nodes: list[tuple[Op, tuple[int, ...]]] = []
+    after = read_sexp(tokens, 0, lang, nodes, allow_vars)
+    if after != len(tokens):
+        raise ParseError("trailing input after expression", tokens[after][1])
+    return tuple(nodes)
+
+
 def parse_term(text: str, lang: LanguageDef) -> Term:
     """Parse an s-expression into a Term, validating operators and arities."""
-    tokens = tokenize(text)
-    if not tokens:
-        raise ParseError("empty input", 0)
-    nodes: list[tuple[Op, tuple[int, ...]]] = []
-
-    def parse(at: int) -> tuple[int, int]:
-        token, pos = tokens[at]
-        if token == "(":
-            if at + 1 >= len(tokens) or tokens[at + 1][0] in ("(", ")"):
-                raise ParseError("expected an operator after '('", pos)
-            head, head_pos = tokens[at + 1]
-            if head not in lang.operators:
-                raise UnknownOperatorError(f"unknown operator {head!r}", head_pos)
-            arity = lang.operators[head]
-            kids = []
-            at += 2
-            while at < len(tokens) and tokens[at][0] != ")":
-                idx, at = parse(at)
-                kids.append(idx)
-            if at >= len(tokens):
-                raise ParseError("unclosed '('", pos)
-            if arity is not VARIADIC and len(kids) != arity:
-                raise ArityError(
-                    f"operator {head!r} expects {arity} arguments, got {len(kids)}",
-                    head_pos,
-                )
-            nodes.append((sys.intern(head), tuple(kids)))
-            return len(nodes) - 1, at + 1
-        if token == ")":
-            raise ParseError("unexpected ')'", pos)
-        if token in lang.operators:
-            arity = lang.operators[token]
-            if arity not in (VARIADIC, 0):
-                raise ArityError(
-                    f"operator {token!r} expects {arity} arguments, got 0", pos
-                )
-            nodes.append((sys.intern(token), ()))
-            return len(nodes) - 1, at + 1
-        nodes.append((atom_to_leaf(token, lang, pos), ()))
-        return len(nodes) - 1, at + 1
-
-    _, after = parse(0)
-    if after != len(tokens):
-        raise ParseError("trailing input after term", tokens[after][1])
-    return Term(tuple(nodes))
+    return Term(read_one(text, lang))
 
 
 def leaf_to_str(leaf: Leaf) -> str:

@@ -7,122 +7,36 @@ under which the pattern is represented there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .egraph import EGraph, ENode
-from .language import (
-    Leaf,
-    LanguageDef,
-    ParseError,
-    UnknownOperatorError,
-    ArityError,
-    VARIADIC,
-    atom_to_leaf,
-    leaf_to_str,
-    tokenize,
-)
-
-
-@dataclass(frozen=True)
-class PVar:
-    """Pattern variable; the name keeps its `?` prefix."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class PLeaf:
-    leaf: Leaf
-
-
-@dataclass(frozen=True)
-class PApp:
-    op: str
-    children: tuple["PatternNode", ...]
-
-
-PatternNode = Union[PVar, PLeaf, PApp]
+from .language import LanguageDef, Leaf, Op, is_var, print_term, read_one
 
 
 @dataclass(frozen=True)
 class Pattern:
-    root: PatternNode
+    """A term whose leaves may be variables (``Leaf("var", "?x")``), stored
+    flat in postorder like ``Term``.  Its match program is compiled once,
+    when the pattern is built."""
+
+    nodes: tuple[tuple[Op, tuple[int, ...]], ...]
+    program: "MatchProgram" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "program", compile_pattern(self))
 
     def vars(self) -> tuple[str, ...]:
         """Variable names in first-occurrence order, deduplicated."""
-        seen: dict[str, None] = {}
-
-        def walk(node):
-            if isinstance(node, PVar):
-                seen.setdefault(node.name)
-            elif isinstance(node, PApp):
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return tuple(seen)
+        return tuple(dict.fromkeys(op.value for op, _ in self.nodes if is_var(op)))
 
     def __str__(self) -> str:
-        def fmt(node):
-            if isinstance(node, PVar):
-                return node.name
-            if isinstance(node, PLeaf):
-                return leaf_to_str(node.leaf)
-            if not node.children:
-                return node.op
-            return "(" + " ".join([node.op] + [fmt(c) for c in node.children]) + ")"
-
-        return fmt(self.root)
+        return print_term(self)
 
 
 def parse_pattern(text: str, lang: LanguageDef) -> Pattern:
     """Parse pattern text; atoms prefixed with `?` are variables."""
-    tokens = tokenize(text)
-    if not tokens:
-        raise ParseError("empty pattern", 0)
-
-    def parse(at: int) -> tuple[PatternNode, int]:
-        token, pos = tokens[at]
-        if token == "(":
-            if at + 1 >= len(tokens) or tokens[at + 1][0] in ("(", ")"):
-                raise ParseError("expected an operator after '('", pos)
-            head, head_pos = tokens[at + 1]
-            if head not in lang.operators:
-                raise UnknownOperatorError(f"unknown operator {head!r}", head_pos)
-            arity = lang.operators[head]
-            kids = []
-            at += 2
-            while at < len(tokens) and tokens[at][0] != ")":
-                node, at = parse(at)
-                kids.append(node)
-            if at >= len(tokens):
-                raise ParseError("unclosed '('", pos)
-            if arity is not VARIADIC and len(kids) != arity:
-                raise ArityError(
-                    f"operator {head!r} expects {arity} arguments, got {len(kids)}",
-                    head_pos,
-                )
-            return PApp(head, tuple(kids)), at + 1
-        if token == ")":
-            raise ParseError("unexpected ')'", pos)
-        if token.startswith("?"):
-            if len(token) == 1:
-                raise ParseError("bare '?' is not a variable name", pos)
-            return PVar(token), at + 1
-        if token in lang.operators:
-            arity = lang.operators[token]
-            if arity not in (VARIADIC, 0):
-                raise ArityError(
-                    f"operator {token!r} expects {arity} arguments, got 0", pos
-                )
-            return PApp(token, ()), at + 1
-        return PLeaf(atom_to_leaf(token, lang, pos)), at + 1
-
-    root, after = parse(0)
-    if after != len(tokens):
-        raise ParseError("trailing input after pattern", tokens[after][1])
-    return Pattern(root)
+    return Pattern(read_one(text, lang, allow_vars=True))
 
 
 # ----------------------------------------------------------------------
@@ -154,24 +68,24 @@ class MatchProgram:
 
 
 def compile_pattern(pattern: Pattern) -> MatchProgram:
+    nodes = pattern.nodes
     instructions = []
     var_regs: dict[str, int] = {}
     n_regs = 1
-    todo: list[tuple[PatternNode, int]] = [(pattern.root, 0)]
+    todo: list[tuple[int, int]] = [(len(nodes) - 1, 0)]
     while todo:
-        node, reg = todo.pop(0)
-        if isinstance(node, PVar):
-            if node.name in var_regs:
-                instructions.append(Compare(reg, var_regs[node.name]))
+        index, reg = todo.pop(0)
+        op, kids = nodes[index]
+        if is_var(op):
+            if op.value in var_regs:
+                instructions.append(Compare(reg, var_regs[op.value]))
             else:
-                var_regs[node.name] = reg
-        elif isinstance(node, PLeaf):
-            instructions.append(Bind(reg, node.leaf, 0, n_regs))
+                var_regs[op.value] = reg
         else:
-            instructions.append(Bind(reg, node.op, len(node.children), n_regs))
-            for i, child in enumerate(node.children):
-                todo.append((child, n_regs + i))
-            n_regs += len(node.children)
+            instructions.append(Bind(reg, op, len(kids), n_regs))
+            for i, kid in enumerate(kids):
+                todo.append((kid, n_regs + i))
+            n_regs += len(kids)
     return MatchProgram(tuple(instructions), tuple(var_regs.items()), n_regs)
 
 
@@ -220,17 +134,14 @@ def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
     represented: sound and complete up to canonicalization, read-only,
     results sorted by class id."""
     assert egraph.clean, "ematch on a dirty graph may miss matches; rebuild first"
-    program = compile_pattern(pattern)
-    root = pattern.root
-    if isinstance(root, PVar):
+    root = pattern.nodes[-1][0]
+    if is_var(root):
         candidates = sorted(egraph.classes)
-    elif isinstance(root, PLeaf):
-        candidates = sorted(egraph.classes_with_op(root.leaf))
     else:
-        candidates = sorted(egraph.classes_with_op(root.op))
+        candidates = sorted(egraph.classes_with_op(root))
     results = []
     for class_id in candidates:
-        substs = run_program(egraph, program, class_id)
+        substs = run_program(egraph, pattern.program, class_id)
         if substs:
             substs.sort(key=lambda s: tuple(sorted(s.items())))
             results.append(SearchMatches(class_id, substs))
@@ -240,28 +151,34 @@ def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
 def match_in_class(egraph: EGraph, pattern: Pattern, class_id: int) -> list[dict]:
     """Match a pattern inside one class only (goal checks)."""
     assert egraph.clean
-    program = compile_pattern(pattern)
-    return run_program(egraph, program, egraph.find(class_id))
+    return run_program(egraph, pattern.program, egraph.find(class_id))
 
 
 class UnboundVariable(KeyError):
     pass
 
 
+def _instantiate(pattern: Pattern, subst: dict[str, int], node_class) -> Optional[int]:
+    """Postorder loop over the pattern: variables read from the substitution,
+    every other node passed to `node_class`; None as soon as that gives None."""
+    ids: list[int] = []
+    for op, kids in pattern.nodes:
+        if isinstance(op, Leaf) and op.kind == "var":  # is_var, inlined: hot loop
+            try:
+                ids.append(subst[op.value])
+            except KeyError:
+                raise UnboundVariable(op.value) from None
+        else:
+            found = node_class(ENode(op, tuple([ids[k] for k in kids])))
+            if found is None:
+                return None
+            ids.append(found)
+    return ids[-1]
+
+
 def apply_subst(pattern: Pattern, subst: dict[str, int], egraph: EGraph) -> int:
     """Instantiate a pattern bottom-up via add; returns the root class id."""
-
-    def build(node) -> int:
-        if isinstance(node, PVar):
-            try:
-                return subst[node.name]
-            except KeyError:
-                raise UnboundVariable(node.name) from None
-        if isinstance(node, PLeaf):
-            return egraph.add(ENode(node.leaf, ()))
-        return egraph.add(ENode(node.op, tuple(build(c) for c in node.children)))
-
-    return build(pattern.root)
+    return _instantiate(pattern, subst, egraph.add)
 
 
 def lookup_subst(
@@ -269,21 +186,5 @@ def lookup_subst(
 ) -> Optional[int]:
     """Like apply_subst but read-only: returns the class id the instantiated
     pattern would land in, or None if any piece of it is absent."""
-
-    def lookup(node) -> Optional[int]:
-        if isinstance(node, PVar):
-            try:
-                return egraph.find(subst[node.name])
-            except KeyError:
-                raise UnboundVariable(node.name) from None
-        if isinstance(node, PLeaf):
-            return egraph.lookup(ENode(node.leaf, ()))
-        kids = []
-        for child in node.children:
-            k = lookup(child)
-            if k is None:
-                return None
-            kids.append(k)
-        return egraph.lookup(ENode(node.op, tuple(kids)))
-
-    return lookup(pattern.root)
+    found = _instantiate(pattern, subst, egraph.lookup)
+    return None if found is None else egraph.find(found)

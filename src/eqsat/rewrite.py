@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .egraph import EGraph
-from .language import LanguageDef, LanguageError
+from .language import LanguageDef, LanguageError, read_sexp, tokenize
 from .pattern import (
     Pattern,
     SearchMatches,
@@ -18,7 +18,6 @@ from .pattern import (
     ematch,
     lookup_subst,
     parse_pattern,
-    tokenize,
 )
 
 Condition = Callable[[EGraph, int, dict], bool]
@@ -166,10 +165,6 @@ class Rewrite:
         return ematch(egraph, self.searcher)
 
 
-def search_rewrite(egraph: EGraph, rewrite: Rewrite) -> list[SearchMatches]:
-    return rewrite.search(egraph)
-
-
 def apply_rewrite(
     egraph: EGraph, rewrite: Rewrite, matches: list[SearchMatches]
 ) -> int:
@@ -191,74 +186,74 @@ def apply_rewrite(
 #   name: <lhs-sexp> => <rhs-sexp> [if <builtin-condition>]
 # with builtin conditions `is-const ?x`, `not-same-var ?a ?b`, `eq <p1> <p2>`.
 
-def _read_one_sexp(tokens: list[tuple[str, int]], at: int) -> int:
-    """Index just past one balanced s-expression starting at `at`."""
-    if tokens[at][0] != "(":
-        return at + 1
-    depth = 0
-    for i in range(at, len(tokens)):
-        if tokens[i][0] == "(":
-            depth += 1
-        elif tokens[i][0] == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise RewriteError("unbalanced parentheses in rule")
+def _read_pattern(tokens: list[tuple[str, int]], at: int, lang: LanguageDef):
+    """The pattern read from token index `at`, and the index just past it."""
+    nodes: list = []
+    after = read_sexp(tokens, at, lang, nodes, allow_vars=True)
+    return Pattern(tuple(nodes)), after
 
 
-def _parse_condition(text: str, lang: LanguageDef) -> Condition:
-    tokens = tokenize(text)
+def _parse_condition(
+    tokens: list[tuple[str, int]], lang: LanguageDef
+) -> tuple[Condition, tuple[str, ...]]:
+    """A builtin condition and the variables it reads."""
     if not tokens:
         raise RewriteError("empty condition")
     head = tokens[0][0]
-    rest = tokens[1:]
+    rest = tuple(token for token, _ in tokens[1:])
     if head == "is-const":
-        if len(rest) != 1 or not rest[0][0].startswith("?"):
+        if len(rest) != 1 or not rest[0].startswith("?"):
             raise RewriteError("is-const takes one pattern variable")
-        return is_const(rest[0][0])
+        return is_const(rest[0]), rest
     if head == "not-same-var":
         if len(rest) != 2:
             raise RewriteError("not-same-var takes two pattern variables")
-        return is_not_same_var(rest[0][0], rest[1][0])
+        return is_not_same_var(*rest), rest
     if head == "eq":
-        end1 = _read_one_sexp(tokens, 1)
-        end2 = _read_one_sexp(tokens, end1)
-        if end2 != len(tokens):
+        p1, at = _read_pattern(tokens, 1, lang)
+        p2, at = _read_pattern(tokens, at, lang)
+        if at != len(tokens):
             raise RewriteError("eq takes exactly two patterns")
-        start1, start2 = tokens[1][1], tokens[end1][1]
-        return ConditionEqual(
-            parse_pattern(text[start1:start2], lang),
-            parse_pattern(text[start2:], lang),
-        )
+        return ConditionEqual(p1, p2), p1.vars() + p2.vars()
     raise RewriteError(f"unknown builtin condition {head!r}")
 
 
+def _parse_rule(line: str, lang: LanguageDef) -> Rewrite:
+    name, colon, rest = line.partition(":")
+    if not colon or not name.strip():
+        raise RewriteError("expected 'name: lhs => rhs'")
+    lhs_text, arrow, rhs_rest = rest.partition("=>")
+    if not arrow:
+        raise RewriteError("missing '=>'")
+    searcher = parse_pattern(lhs_text, lang)
+    tokens = tokenize(rhs_rest)
+    if not tokens:
+        raise RewriteError("missing right-hand side")
+    rhs, at = _read_pattern(tokens, 0, lang)
+    applier: Applier = PatternApplier(rhs)
+    if at < len(tokens):
+        if tokens[at][0] != "if":
+            raise RewriteError("trailing tokens after rhs")
+        condition, used = _parse_condition(tokens[at + 1 :], lang)
+        unbound = [v for v in dict.fromkeys(used) if v not in searcher.vars()]
+        if unbound:
+            raise RewriteError(
+                f"condition uses variables the left-hand side does not bind: "
+                f"{', '.join(unbound)}"
+            )
+        applier = ConditionalApplier(condition, applier)
+    return Rewrite(name.strip(), searcher, applier)
+
+
 def parse_rules(text: str, lang: LanguageDef) -> list[Rewrite]:
+    """Rules from rules-file text; any error is a RewriteError naming its line."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, colon, rest = line.partition(":")
-        if not colon or not name.strip():
-            raise RewriteError(f"line {lineno}: expected 'name: lhs => rhs'")
-        lhs_text, arrow, rhs_rest = rest.partition("=>")
-        if not arrow:
-            raise RewriteError(f"line {lineno}: missing '=>'")
-        tokens = tokenize(rhs_rest)
-        if not tokens:
-            raise RewriteError(f"line {lineno}: missing right-hand side")
-        rhs_end = _read_one_sexp(tokens, 0)
-        conditions = []
-        if rhs_end < len(tokens):
-            if tokens[rhs_end][0] != "if":
-                raise RewriteError(f"line {lineno}: trailing tokens after rhs")
-            cond_start = tokens[rhs_end][1] + len("if")
-            conditions.append(_parse_condition(rhs_rest[cond_start:], lang))
-            rhs_text = rhs_rest[: tokens[rhs_end][1]]
-        else:
-            rhs_text = rhs_rest
-        rules.append(
-            Rewrite.parse(name.strip(), lhs_text.strip(), rhs_text.strip(), lang, conditions)
-        )
+        try:
+            rules.append(_parse_rule(line, lang))
+        except LanguageError as exc:
+            raise RewriteError(f"line {lineno}: {exc}") from exc
     return rules

@@ -9,7 +9,7 @@ rebuild be deferred safely.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -304,30 +304,10 @@ def check_equiv(
     config: Optional[RunnerConfig] = None,
 ) -> EquivResult:
     """Prove two terms equal by saturating with the rules and checking they
-    land in one class.  Failure within limits is inconclusive, not a
-    disproof."""
-    config = config or RunnerConfig()
-
-    def unified(state: RunnerState) -> bool:
-        a, b = state.root_ids
-        return state.egraph.find(a) == state.egraph.find(b)
-
-    config = RunnerConfig(
-        iter_limit=config.iter_limit,
-        node_limit=config.node_limit,
-        time_limit=config.time_limit,
-        scheduler=config.scheduler,
-        hooks=tuple(config.hooks) + (unified,),
-    )
-    report = run(egraph, [lhs, rhs], rules, config)
-    if not report.root_ids:
-        return EquivResult(False, len(report.iterations), report)
-    a, b = report.root_ids
-    return EquivResult(
-        report.egraph.find(a) == report.egraph.find(b),
-        len(report.iterations),
-        report,
-    )
+    land in one class: the one-pair case of `check_equiv_batched`.  Failure
+    within limits is inconclusive, not a disproof."""
+    verdicts, report = check_equiv_batched(egraph, [(lhs, rhs)], rules, config)
+    return EquivResult(bool(verdicts and verdicts[0]), len(report.iterations), report)
 
 
 def check_equiv_batched(
@@ -345,13 +325,7 @@ def check_equiv_batched(
         find = state.egraph.find
         return all(find(ids[i]) == find(ids[i + 1]) for i in range(0, len(ids), 2))
 
-    batched = RunnerConfig(
-        iter_limit=config.iter_limit,
-        node_limit=config.node_limit,
-        time_limit=config.time_limit,
-        scheduler=config.scheduler,
-        hooks=tuple(config.hooks) + (all_unified,),
-    )
+    batched = replace(config, hooks=tuple(config.hooks) + (all_unified,))
     roots = [t for pair in pairs for t in pair]
     report = run(egraph, roots, rules, batched)
     verdicts = []

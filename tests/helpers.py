@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from eqsat import EGraph, ENode, Leaf, Term, num, sym
-from eqsat.pattern import PLeaf, PVar
 
 
 class NaiveCongruence:
@@ -135,30 +134,33 @@ def same_partition(pairs_a, pairs_b, ids_a, ids_b) -> bool:
     return True
 
 
-def naive_match_node(egraph: EGraph, node, class_id: int, subst: dict):
-    """Direct recursive e-matching, the reference for the compiled VM."""
+def is_pattern_var(op) -> bool:
+    return isinstance(op, Leaf) and op.kind == "var"
+
+
+def naive_match_node(egraph: EGraph, pattern, index: int, class_id: int, subst: dict):
+    """Direct recursive e-matching of the pattern node at `index`, the
+    reference for the compiled VM."""
     class_id = egraph.find(class_id)
-    if isinstance(node, PVar):
-        bound = subst.get(node.name)
+    op, kids = pattern.nodes[index]
+    if is_pattern_var(op):
+        bound = subst.get(op.value)
         if bound is not None:
             return [subst] if egraph.find(bound) == class_id else []
         extended = dict(subst)
-        extended[node.name] = class_id
+        extended[op.value] = class_id
         return [extended]
     results = []
-    want_op = node.leaf if isinstance(node, PLeaf) else node.op
-    want_arity = 0 if isinstance(node, PLeaf) else len(node.children)
     for enode in egraph.classes[class_id].nodes:
-        if enode.op != want_op or len(enode.children) != want_arity:
+        if enode.op != op or len(enode.children) != len(kids):
             continue
         partial = [subst]
-        if not isinstance(node, PLeaf):
-            for pat_child, child in zip(node.children, enode.children):
-                partial = [
-                    ext
-                    for s in partial
-                    for ext in naive_match_node(egraph, pat_child, child, s)
-                ]
+        for pat_child, child in zip(kids, enode.children):
+            partial = [
+                ext
+                for s in partial
+                for ext in naive_match_node(egraph, pattern, pat_child, child, s)
+            ]
         results.extend(partial)
     return results
 
@@ -166,7 +168,7 @@ def naive_match_node(egraph: EGraph, node, class_id: int, subst: dict):
 def naive_ematch(egraph: EGraph, pattern):
     out = []
     for class_id in sorted(egraph.classes):
-        substs = naive_match_node(egraph, pattern.root, class_id, {})
+        substs = naive_match_node(egraph, pattern, -1, class_id, {})
         canon = {}
         for s in substs:
             fixed = {k: egraph.find(v) for k, v in s.items()}
@@ -254,33 +256,33 @@ def enumerate_decorated(egraph: EGraph, class_id: int, depth: int):
     return go(class_id, depth)
 
 
-def syntactic_match(egraph: EGraph, pattern_node, decorated, subst):
-    """Match a pattern against one decorated term, binding variables to the
-    classes of the subterms they cover."""
+def syntactic_match(egraph: EGraph, pattern, index: int, decorated, subst):
+    """Match the pattern node at `index` against one decorated term, binding
+    variables to the classes of the subterms they cover."""
     cid, op, kids = decorated
-    if isinstance(pattern_node, PVar):
-        bound = subst.get(pattern_node.name)
+    p_op, p_kids = pattern.nodes[index]
+    if is_pattern_var(p_op):
+        bound = subst.get(p_op.value)
         if bound is not None:
             return [subst] if egraph.find(bound) == egraph.find(cid) else []
         extended = dict(subst)
-        extended[pattern_node.name] = egraph.find(cid)
+        extended[p_op.value] = egraph.find(cid)
         return [extended]
-    if isinstance(pattern_node, PLeaf):
-        return [subst] if op == pattern_node.leaf and not kids else []
-    if op != pattern_node.op or len(kids) != len(pattern_node.children):
+    if op != p_op or len(kids) != len(p_kids):
         return []
     outs = [subst]
-    for p_child, d_child in zip(pattern_node.children, kids):
+    for p_child, d_child in zip(p_kids, kids):
         outs = [
-            ext for s in outs for ext in syntactic_match(egraph, p_child, d_child, s)
+            ext
+            for s in outs
+            for ext in syntactic_match(egraph, pattern, p_child, d_child, s)
         ]
     return outs
 
 
-def pattern_depth(node) -> int:
-    if isinstance(node, (PVar, PLeaf)):
-        return 1
-    return 1 + max((pattern_depth(c) for c in node.children), default=0)
+def pattern_depth(pattern, index: int = -1) -> int:
+    _, kids = pattern.nodes[index]
+    return 1 + max((pattern_depth(pattern, k) for k in kids), default=0)
 
 
 def random_term(rng: random.Random, lang, depth: int, symbols=("a", "b", "c")) -> Term:

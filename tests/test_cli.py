@@ -128,6 +128,33 @@ def test_check_equiv_pairs_json(tmp_path):
     assert [r["equal"] for r in doc["results"]] == [True, False]
 
 
+def test_check_equiv_malformed_pairs_line_is_exit_two(tmp_path):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("(+ a b) (+ b a)\n\n(+ a b)\n")
+    for batched in ((), ("--batched",)):
+        result = invoke(
+            "check-equiv", "--rules", "math", "--pairs", str(pairs), *batched
+        )
+        assert result.exit_code == 2
+        assert "parse error:" in result.output
+        assert "(line 3)" in result.output
+
+
+def test_malformed_rules_file_is_exit_two(tmp_path):
+    rules = tmp_path / "bad.rules"
+    for text in ("r: (* ?x 1) => ?x if is-const ?y\n", "r: (* ?x 1 => ?x\n"):
+        rules.write_text(text)
+        for command in (
+            ("simplify", "(* a 1)"),
+            ("check-equiv", "(* a 1)", "a"),
+        ):
+            result = invoke(
+                command[0], "--rules", str(rules), "--lang", "math", *command[1:]
+            )
+            assert result.exit_code == 2
+            assert "line 1" in result.output
+
+
 def test_rules_file_via_cli(tmp_path):
     rules = tmp_path / "my.rules"
     rules.write_text("swap: (+ ?a ?b) => (+ ?b ?a)\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 from eqsat import (
     ENode,
     Extractor,
+    Leaf,
     RunnerConfig,
     StopReason,
     Term,
@@ -14,7 +15,6 @@ from eqsat import (
     run,
     sym,
 )
-from eqsat.pattern import PLeaf, PVar
 from eqsat.rewrite import ConditionalApplier, PatternApplier
 from eqsat.domains.math import (
     MATH,
@@ -111,13 +111,14 @@ def rhs_pattern(applier):
     return None, None
 
 
-def pattern_to_term(node, subst, extractor):
-    if isinstance(node, PVar):
-        return extractor.best(subst[node.name])[0]
-    if isinstance(node, PLeaf):
-        return Term.leaf(node.leaf)
+def pattern_to_term(pattern, index, subst, extractor):
+    op, kids = pattern.nodes[index]
+    if isinstance(op, Leaf) and op.kind == "var":
+        return extractor.best(subst[op.value])[0]
+    if isinstance(op, Leaf):
+        return Term.leaf(op)
     return Term.apply(
-        node.op, *(pattern_to_term(c, subst, extractor) for c in node.children)
+        op, *(pattern_to_term(pattern, k, subst, extractor) for k in kids)
     )
 
 
@@ -144,8 +145,8 @@ def fuzz_fired_instances(exprs, rules, rng, assignments_per_instance=6, max_subs
                     condition = rhs_pattern(rule.applier)[1]
                     if condition is not None and not condition(g, match.eclass, subst):
                         continue
-                    lhs = pattern_to_term(rule.searcher.root, subst, extractor)
-                    rhs = pattern_to_term(pattern.root, subst, extractor)
+                    lhs = pattern_to_term(rule.searcher, -1, subst, extractor)
+                    rhs = pattern_to_term(pattern, -1, subst, extractor)
                     names = set(symbols_of(lhs)) | set(symbols_of(rhs))
                     for _ in range(assignments_per_instance):
                         env = random_rationals(rng, names)

@@ -3,19 +3,29 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eqsat.pattern as pattern_module
 from eqsat import (
+    Applier,
+    ArityError,
     EGraph,
     ENode,
+    Leaf,
+    ParseError,
+    Pattern,
+    RunnerConfig,
+    UnknownOperatorError,
     apply_subst,
     compile_pattern,
     ematch,
     num,
     parse_pattern,
     parse_term,
+    run,
     sym,
 )
-from eqsat.pattern import Bind, Compare, PVar, match_in_class
-from eqsat.domains.math import MATH
+from eqsat.pattern import Bind, Compare, match_in_class
+from eqsat.domains.lam import LAMBDA, lambda_rules
+from eqsat.domains.math import MATH, make_egraph, math_rules
 
 from helpers import (
     enumerate_decorated,
@@ -190,18 +200,13 @@ def random_pattern(rng):
         roll = rng.random()
         if depth <= 1 or roll < 0.35:
             if roll < 0.6:
-                return PVar(rng.choice(variables))
-            return parse_pattern(
-                str(random_term(rng, lang, 1)), lang
-            ).root
+                return rng.choice(variables)
+            return str(random_term(rng, lang, 1))
         op = rng.choice(sorted(lang.operators))
-        from eqsat.pattern import PApp
+        kids = [go(depth - 1) for _ in range(lang.operators[op])]
+        return "(" + " ".join([op] + kids) + ")" if kids else op
 
-        return PApp(op, tuple(go(depth - 1) for _ in range(lang.operators[op])))
-
-    from eqsat.pattern import Pattern
-
-    return Pattern(go(rng.randint(1, 3)))
+    return parse_pattern(go(rng.randint(1, 3)), lang)
 
 
 def test_ematch_complete_against_enumeration():
@@ -212,7 +217,7 @@ def test_ematch_complete_against_enumeration():
     while checked < 40:
         g, _ = random_small_egraph(rng, MATH, n_terms=3, n_merges=2)
         pattern = random_pattern(rng)
-        depth = pattern_depth(pattern.root)
+        depth = pattern_depth(pattern)
         reported = {
             (m.eclass, tuple(sorted(s.items())))
             for m in ematch(g, pattern)
@@ -226,7 +231,7 @@ def test_ematch_complete_against_enumeration():
                 too_big = True
                 break
             for d in decorated:
-                for subst in syntactic_match(g, pattern.root, d, {}):
+                for subst in syntactic_match(g, pattern, -1, d, {}):
                     expected.add((class_id, tuple(sorted(subst.items()))))
         if too_big:
             continue
@@ -258,3 +263,68 @@ def test_cyclic_graph_matching_terminates():
     matches = ematch(g, parse_pattern("(* (* ?x 1) 1)", lang))
     assert len(matches) == 1
     assert matches[0].substs[0]["?x"] == g.find(a)
+
+
+def test_run_uses_patterns_compiled_at_construction(monkeypatch):
+    rules = math_rules()
+    compiled = []
+    original = pattern_module.compile_pattern
+
+    def counting(pattern):
+        compiled.append(pattern)
+        return original(pattern)
+
+    monkeypatch.setattr(pattern_module, "compile_pattern", counting)
+    term = parse_term("(/ (* (+ a b) 2) 2)", MATH)
+    report = run(make_egraph(), [term], rules, RunnerConfig(scheduler="every", iter_limit=4))
+    assert report.total_applied > 0
+    assert compiled == []
+
+
+def _rule_patterns(rule):
+    """The searcher and every pattern its applier holds, however nested."""
+    found, todo = [rule.searcher], [rule.applier]
+    while todo:
+        for value in vars(todo.pop()).values():
+            if isinstance(value, Pattern):
+                found.append(value)
+            elif isinstance(value, Applier):
+                todo.append(value)
+    return found
+
+
+def test_rule_patterns_print_and_parse_round_trip():
+    for rules, lang in ((math_rules(), MATH), (lambda_rules(), LAMBDA)):
+        for rule in rules:
+            patterns = _rule_patterns(rule)
+            assert len(patterns) >= 2, rule.name
+            for pattern in patterns:
+                text = str(pattern)
+                assert str(parse_pattern(text, lang)) == text
+                assert parse_pattern(text, lang) == pattern
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("(+ ?x)", ArityError),
+        ("(+ ?x ?y ?z)", ArityError),
+        ("(+ + ?x)", ArityError),
+        ("(bogus ?x)", UnknownOperatorError),
+        ("(+ ? 1)", ParseError),
+        ("?", ParseError),
+        ("(+ ?x 1) ?y", ParseError),
+        ("(+ ?x 1", ParseError),
+        ("", ParseError),
+    ],
+)
+def test_parse_pattern_rejects_malformed(text, error):
+    with pytest.raises(error):
+        parse_pattern(text, MATH)
+
+
+def test_pattern_is_flat_term_with_variable_leaves():
+    p = parse_pattern("(* ?x (+ ?x 2))", MATH)
+    assert [op for op, _ in p.nodes] == [Leaf("var", "?x"), Leaf("var", "?x"), num(2), "+", "*"]
+    assert p.vars() == ("?x",)
+    assert str(p) == "(* ?x (+ ?x 2))"

@@ -8,7 +8,6 @@ from eqsat import (
     num,
     parse_rules,
     parse_term,
-    search_rewrite,
     sym,
 )
 from eqsat.rewrite import RewriteError
@@ -21,7 +20,7 @@ def test_search_counts_matches():
     g.add_term(parse_term("(+ 1 2)", MATH))
     g.rebuild()
     comm = Rewrite.parse("add-comm", "(+ ?a ?b)", "(+ ?b ?a)", MATH)
-    matches = search_rewrite(g, comm)
+    matches = comm.search(g)
     assert sum(len(m.substs) for m in matches) == 1
 
 
@@ -30,7 +29,7 @@ def test_search_without_operator_is_empty():
     g.add_term(parse_term("(+ 1 2)", LAMBDA))
     g.rebuild()
     if_true = Rewrite.parse("if-true", "(if true ?then ?else)", "?then", LAMBDA)
-    assert search_rewrite(g, if_true) == []
+    assert if_true.search(g) == []
 
 
 def test_beta_matches_inner_application():
@@ -38,7 +37,7 @@ def test_beta_matches_inner_application():
     g.add_term(parse_term("(lam x (+ 4 (app (lam y (var y)) 4)))", LAMBDA))
     g.rebuild()
     beta = next(r for r in lambda_rules() if r.name == "beta")
-    matches = search_rewrite(g, beta)
+    matches = beta.search(g)
     assert sum(len(m.substs) for m in matches) == 1
 
 
@@ -46,7 +45,7 @@ def test_apply_shift_rewrite_adds_two_nodes():
     g = math_egraph()
     root = g.add_term(parse_term("(/ (* a 2) 2)", MATH))
     rule = Rewrite.parse("double-to-shift", "(* ?x 2)", "(<< ?x 1)", MATH)
-    matches = search_rewrite(g, rule)
+    matches = rule.search(g)
     classes_before, nodes_before = g.n_classes(), g.n_nodes()
     applied = apply_rewrite(g, rule, matches)
     g.rebuild()
@@ -68,9 +67,9 @@ def test_merge_only_rules_add_no_nodes():
     nodes_before = g.n_nodes()
     div_self = Rewrite.parse("div-self", "(/ ?x ?x)", "1", MATH)
     mul_one = Rewrite.parse("mul-one", "(* ?x 1)", "?x", MATH)
-    apply_rewrite(g, div_self, search_rewrite(g, div_self))
+    apply_rewrite(g, div_self, div_self.search(g))
     g.rebuild()
-    apply_rewrite(g, mul_one, search_rewrite(g, mul_one))
+    apply_rewrite(g, mul_one, mul_one.search(g))
     g.rebuild()
     assert g.n_nodes() <= nodes_before
     assert g.find(mul) == g.find(a)
@@ -82,10 +81,10 @@ def test_reapplication_performs_no_new_merges():
     g.add_term(parse_term("(* 1 2)", MATH))
     g.rebuild()
     comm = Rewrite.parse("mul-comm", "(* ?x ?y)", "(* ?y ?x)", MATH)
-    first = apply_rewrite(g, comm, search_rewrite(g, comm))
+    first = apply_rewrite(g, comm, comm.search(g))
     g.rebuild()
     assert first >= 1
-    second = apply_rewrite(g, comm, search_rewrite(g, comm))
+    second = apply_rewrite(g, comm, comm.search(g))
     g.rebuild()
     assert second == 0
 
@@ -96,7 +95,7 @@ def test_conditions_never_mutate():
     g.rebuild()
     cond = ConditionEqual.parse("(let ?x ?e ?then)", "(let ?x ?e ?else)", LAMBDA)
     rule = next(r for r in lambda_rules() if r.name == "if-elim")
-    matches = search_rewrite(g, rule)
+    matches = rule.search(g)
     before = (g.n_nodes(), g.n_classes(), g.union_count)
     for m in matches:
         for s in m.substs:
@@ -128,7 +127,7 @@ def test_capture_avoid_not_free_branch():
     g = lam_egraph()
     root = g.add_term(parse_term("(let x 4 (lam y (var y)))", LAMBDA))
     rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
-    applied = apply_rewrite(g, rule, search_rewrite(g, rule))
+    applied = apply_rewrite(g, rule, rule.search(g))
     g.rebuild()
     assert applied == 1
     expected = g.add_term(parse_term("(lam y (let x 4 (var y)))", LAMBDA))
@@ -141,7 +140,7 @@ def test_capture_avoid_free_branch_renames():
     g = lam_egraph()
     root = g.add_term(parse_term("(let x (var y) (lam y (var x)))", LAMBDA))
     rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
-    applied = apply_rewrite(g, rule, search_rewrite(g, rule))
+    applied = apply_rewrite(g, rule, rule.search(g))
     g.rebuild()
     assert applied == 1
     fresh_name = f"_{g.find(root)}"
@@ -159,7 +158,7 @@ def test_capture_avoid_fresh_symbol_deterministic():
     g = lam_egraph()
     root = g.add_term(parse_term("(let x (var y) (lam y (var x)))", LAMBDA))
     rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
-    apply_rewrite(g, rule, search_rewrite(g, rule))
+    apply_rewrite(g, rule, rule.search(g))
     g.rebuild()
     assert g.lookup(ENode(sym(f"_{g.find(root)}"), ())) is not None
 
@@ -180,7 +179,7 @@ branch-drop: (if (= (var ?x) ?e) ?t ?f) => ?f if eq (let ?x ?e ?t) (let ?x ?e ?f
     g = lam_egraph()
     g.add_term(parse_term("(+ 1 (var q))", LAMBDA))
     g.rebuild()
-    matches = search_rewrite(g, rules[0])
+    matches = rules[0].search(g)
     assert sum(len(m.substs) for m in matches) == 1
 
 
@@ -193,6 +192,34 @@ def test_rules_file_errors():
         parse_rules("name: (+ ?a ?b) => ?a if magic ?a", MATH)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "r: (* ?x 1) => ?x if is-const ?y",
+        "r: (* ?x 1) => ?x if eq ?x ?q",
+        "r: (* ?x 1) => ?x if not-same-var ?x ?z",
+    ],
+)
+def test_rules_file_condition_variables_must_be_bound_by_lhs(line):
+    with pytest.raises(RewriteError, match="line 2"):
+        parse_rules("ok: (+ ?a ?b) => (+ ?b ?a)\n" + line, MATH)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "r: (* ?x 1) => (+ ?x",
+        "r: (* ?x) => ?x",
+        "r: (* ?x 1) => ?x if eq ?x",
+        "r: (* ?x 1) => ?x if eq ?x ?x ?x",
+        "r: => ?x",
+    ],
+)
+def test_rules_file_malformed_pattern_names_line(text):
+    with pytest.raises(RewriteError, match="line 3"):
+        parse_rules("\n# comment\n" + text, MATH)
+
+
 def test_saturation_apply_counts_zero_for_all_rules():
     g = math_egraph()
     g.add_term(parse_term("(/ (* a 2) 2)", MATH))
@@ -203,9 +230,9 @@ def test_saturation_apply_counts_zero_for_all_rules():
     for _ in range(10):
         total = 0
         for rule in rules:
-            total += apply_rewrite(g, rule, search_rewrite(g, rule))
+            total += apply_rewrite(g, rule, rule.search(g))
             g.rebuild()
         if total == 0:
             break
     for rule in rules:
-        assert apply_rewrite(g, rule, search_rewrite(g, rule)) == 0
+        assert apply_rewrite(g, rule, rule.search(g)) == 0
