@@ -4,7 +4,7 @@ Exit codes:
   0  success; `check-equiv`: every pair proved equal
   1  `check-equiv`: some pair left unknown (saturation cannot disprove)
   2  usage error or malformed input: a term, a line of the --pairs file,
-     or the rules file
+     a --pairs file with no pairs, or the rules file
   3  analysis contradiction (the rules equate distinct constants)
 """
 from __future__ import annotations
@@ -166,6 +166,9 @@ def check_equiv_cmd(lhs, rhs, rules_name, lang_name, iters, nodes, time_ms,
                 except ParseError as exc:
                     click.echo(f"parse error: {exc} (line {lineno})", err=True)
                     sys.exit(2)
+        if not pairs:
+            click.echo(f"no pairs in {pairs_file}", err=True)
+            sys.exit(2)
         if batched:
             verdicts, report = check_equiv_batched(
                 factory(), pairs, rules, config

@@ -10,6 +10,7 @@ deferring it amortizes the work.
 """
 from __future__ import annotations
 
+import copy
 from typing import Iterable, NamedTuple, Optional
 
 from .analysis import Analysis
@@ -360,10 +361,13 @@ class EGraph:
                     f"analysis data of class {class_id} is {eclass.data!r}, "
                     f"recomputed join gives {joined!r}"
                 )
-        before = (len(self.classes), self._n_nodes, self.union_count)
-        for class_id in list(self.classes):
-            self.analysis.modify(self, self.uf.find(class_id))
-        if (len(self.classes), self._n_nodes, self.union_count) != before:
+        # modify may add and merge, so probe it on a copy: checking never
+        # changes the graph it checks
+        probe = copy.deepcopy(self)
+        before = (len(probe.classes), probe._n_nodes, probe.union_count)
+        for class_id in list(probe.classes):
+            probe.analysis.modify(probe, probe.uf.find(class_id))
+        if (len(probe.classes), probe._n_nodes, probe.union_count) != before:
             violations.append("analysis modify hook is not at a fixpoint")
         return violations
 

@@ -72,15 +72,12 @@ def build_cost_table(egraph: EGraph, cost_fn: CostFunction = ast_size) -> dict:
     return {cid: (cost, node) for cid, (cost, _, node) in table.items()}
 
 
-def _term_key(term: Term):
-    keys = []
-    for op, kids in term.nodes:
-        if isinstance(op, Leaf):
-            value = int(op.value) if op.kind == "bool" else op.value
-            keys.append((1, op.kind, value, ()))
-        else:
-            keys.append((0, op, 0, tuple(keys[k] for k in kids)))
-    return keys[-1]
+def _op_key(op):
+    """The op part of a term's structural sort key: operators before
+    leaves, then by operator name or by leaf kind and value."""
+    if isinstance(op, Leaf):
+        return (1, op.kind, int(op.value) if op.kind == "bool" else op.value)
+    return (0, op, 0)
 
 
 class Extractor:
@@ -88,7 +85,8 @@ class Extractor:
 
     Among the nodes achieving a class's minimum cost, the extracted term is
     the structurally least one; being id-free, two graphs with the same
-    partition extract the same terms.
+    partition extract the same terms.  Only the chosen node of each class
+    is kept; a ``Term`` is built for a class when ``best`` asks for it.
     """
 
     def __init__(self, egraph: EGraph, cost_fn: CostFunction = ast_size):
@@ -96,53 +94,88 @@ class Extractor:
         self.cost_fn = cost_fn
         self.table = build_cost_table(egraph, cost_fn)
         self.costs = {cid: entry[0] for cid, entry in self.table.items()}
-        self.terms: dict[int, Term] = {}
-        self._assign_terms()
+        self.chosen: dict[int, ENode] = {}
+        self._terms: dict[int, Term] = {}
+        self._choose_nodes()
 
-    def _assign_terms(self) -> None:
-        costs = self.costs
-        candidates: dict[int, list[ENode]] = {}
-        for class_id, eclass in self.egraph.classes.items():
-            if class_id not in costs:
-                continue
-            nodes = []
-            for node in eclass.nodes:
-                kids = [costs[c] for c in node.children if c in costs]
-                if len(kids) == len(node.children):
-                    if self.cost_fn(node, kids) == costs[class_id]:
-                        nodes.append(node)
-            candidates[class_id] = nodes
-
-        terms, keys = self.terms, {}
+    def _choose_nodes(self) -> None:
+        """Sweep the classes until none changes: a class takes the least of
+        its minimum-cost nodes once some such node has every child chosen."""
+        costs, chosen, cost_fn = self.costs, self.chosen, self.cost_fn
         progress = True
         while progress:
             progress = False
-            for class_id, nodes in candidates.items():
-                if class_id in terms:
+            for class_id, eclass in self.egraph.classes.items():
+                if class_id in chosen or class_id not in costs:
                     continue
                 best = None
-                for node in nodes:
-                    if all(c in terms for c in node.children):
-                        if isinstance(node.op, Leaf):
-                            term = Term.leaf(node.op)
-                        else:
-                            term = Term.apply(
-                                node.op, *(terms[c] for c in node.children)
-                            )
-                        key = _term_key(term)
-                        if best is None or key < best[0]:
-                            best = (key, term)
+                for node in eclass.nodes:
+                    kids = node.children
+                    if not all(c in chosen for c in kids):
+                        continue
+                    if cost_fn(node, [costs[c] for c in kids]) != costs[class_id]:
+                        continue
+                    if best is None or self._precedes(node, best):
+                        best = node
                 if best is not None:
-                    keys[class_id], terms[class_id] = best
+                    chosen[class_id] = best
                     progress = True
+
+    def _precedes(self, a: ENode, b: ENode) -> bool:
+        """Is the term a node extracts to structurally less than b's?
+
+        Terms compare as nested (op key, child keys) tuples.  In a clean
+        graph distinct classes never represent the same term, so equal
+        child ids mean equal subterms and the walk descends only into the
+        first child pair whose ids differ.
+        """
+        chosen = self.chosen
+        while a != b:
+            key_a, key_b = _op_key(a.op), _op_key(b.op)
+            if key_a != key_b:
+                return key_a < key_b
+            for x, y in zip(a.children, b.children):
+                if x != y:
+                    a, b = chosen[x], chosen[y]
+                    break
+            else:
+                return len(a.children) < len(b.children)
+        return False
+
+    def _build(self, root: int) -> Term:
+        """Expand the chosen nodes below `root` into a postorder Term."""
+        chosen = self.chosen
+        nodes: list[tuple] = []
+        done: list[int] = []  # node indexes of finished subterms, in order
+        # a class id expands its chosen node; its complement ~id emits it
+        stack = [root]
+        while stack:
+            item = stack.pop()
+            if item >= 0:
+                kids = chosen[item].children
+                if kids:
+                    stack.append(~item)
+                    stack.extend(reversed(kids))
+                    continue
+                node = chosen[item]
+            else:
+                node = chosen[~item]
+            arity = len(node.children)
+            nodes.append((node.op, tuple(done[len(done) - arity :])))
+            del done[len(done) - arity :]
+            done.append(len(nodes) - 1)
+        return Term(tuple(nodes))
 
     def best(self, root: int) -> tuple[Term, object]:
         root = self.egraph.find(root)
         if root not in self.costs:
             raise ExtractionError(f"class {root} represents no finite-cost term")
-        if root not in self.terms:
+        if root not in self.chosen:
             raise ExtractionError(f"no acyclic minimal term for class {root}")
-        return self.terms[root], self.costs[root]
+        term = self._terms.get(root)
+        if term is None:
+            term = self._terms[root] = self._build(root)
+        return term, self.costs[root]
 
 
 def extract_best(

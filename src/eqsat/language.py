@@ -209,6 +209,21 @@ def is_var(op: Op) -> bool:
     return isinstance(op, Leaf) and op.kind == "var"
 
 
+def _read_atom(token: str, pos: int, lang: LanguageDef, allow_vars: bool) -> Op:
+    if allow_vars and token.startswith("?"):
+        if len(token) == 1:
+            raise ParseError("bare '?' is not a variable name", pos)
+        return Leaf("var", sys.intern(token))
+    if token in lang.operators:
+        arity = lang.operators[token]
+        if arity not in (VARIADIC, 0):
+            raise ArityError(
+                f"operator {token!r} expects {arity} arguments, got 0", pos
+            )
+        return sys.intern(token)
+    return atom_to_leaf(token, lang, pos)
+
+
 def read_sexp(
     tokens: list[tuple[str, int]],
     at: int,
@@ -219,47 +234,52 @@ def read_sexp(
     """Read one s-expression starting at token index `at`, validating
     operators and arities, and append its nodes to `nodes` in postorder;
     returns the index just past it.  With `allow_vars`, `?name` atoms are
-    read as variable leaves; without it they are rejected as atoms."""
-    if at >= len(tokens):
+    read as variable leaves; without it they are rejected as atoms.
+
+    Open applications live on an explicit stack, so nesting depth is
+    bounded by memory, not by the interpreter's recursion limit."""
+    n = len(tokens)
+    if at >= n:
         raise ParseError("expected an expression", tokens[-1][1] if tokens else 0)
-    token, pos = tokens[at]
-    if token == "(":
-        if at + 1 >= len(tokens) or tokens[at + 1][0] in ("(", ")"):
-            raise ParseError("expected an operator after '('", pos)
-        head, head_pos = tokens[at + 1]
-        if head not in lang.operators:
-            raise UnknownOperatorError(f"unknown operator {head!r}", head_pos)
-        arity = lang.operators[head]
-        kids = []
-        at += 2
-        while at < len(tokens) and tokens[at][0] != ")":
-            at = read_sexp(tokens, at, lang, nodes, allow_vars)
-            kids.append(len(nodes) - 1)
-        if at >= len(tokens):
-            raise ParseError("unclosed '('", pos)
-        if arity is not VARIADIC and len(kids) != arity:
-            raise ArityError(
-                f"operator {head!r} expects {arity} arguments, got {len(kids)}",
-                head_pos,
-            )
-        nodes.append((sys.intern(head), tuple(kids)))
-        return at + 1
-    if token == ")":
-        raise ParseError("unexpected ')'", pos)
-    if allow_vars and token.startswith("?"):
-        if len(token) == 1:
-            raise ParseError("bare '?' is not a variable name", pos)
-        nodes.append((Leaf("var", sys.intern(token)), ()))
-    elif token in lang.operators:
-        arity = lang.operators[token]
-        if arity not in (VARIADIC, 0):
-            raise ArityError(
-                f"operator {token!r} expects {arity} arguments, got 0", pos
-            )
-        nodes.append((sys.intern(token), ()))
-    else:
-        nodes.append((atom_to_leaf(token, lang, pos), ()))
-    return at + 1
+    # one entry per open '(': (operator, its position, the '(' position,
+    # node indexes of the arguments read so far)
+    open_apps: list[tuple[str, int, int, list[int]]] = []
+    while True:
+        token, pos = tokens[at]
+        if token == "(":
+            if at + 1 >= n or tokens[at + 1][0] in ("(", ")"):
+                raise ParseError("expected an operator after '('", pos)
+            head, head_pos = tokens[at + 1]
+            if head not in lang.operators:
+                raise UnknownOperatorError(f"unknown operator {head!r}", head_pos)
+            open_apps.append((sys.intern(head), head_pos, pos, []))
+            at += 2
+        elif token == ")":
+            raise ParseError("unexpected ')'", pos)
+        else:
+            nodes.append((_read_atom(token, pos, lang, allow_vars), ()))
+            at += 1
+            if open_apps:
+                open_apps[-1][3].append(len(nodes) - 1)
+        # close every application whose ')' comes next
+        while open_apps:
+            if at >= n:
+                raise ParseError("unclosed '('", open_apps[-1][2])
+            if tokens[at][0] != ")":
+                break
+            head, head_pos, _, kids = open_apps.pop()
+            arity = lang.operators[head]
+            if arity is not VARIADIC and len(kids) != arity:
+                raise ArityError(
+                    f"operator {head!r} expects {arity} arguments, got {len(kids)}",
+                    head_pos,
+                )
+            nodes.append((head, tuple(kids)))
+            at += 1
+            if open_apps:
+                open_apps[-1][3].append(len(nodes) - 1)
+        if not open_apps:
+            return at
 
 
 def read_one(text: str, lang: LanguageDef, allow_vars: bool = False) -> tuple:
@@ -285,12 +305,24 @@ def leaf_to_str(leaf: Leaf) -> str:
 
 def print_term(term: Term) -> str:
     """Render a term; one space between atoms, round-trips through parse."""
-    rendered: list[str] = []
-    for op, kids in term.nodes:
+    nodes = term.nodes
+    out: list[str] = []
+    # node indexes still to render, interleaved with literal text
+    stack: list = [len(nodes) - 1]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        op, kids = nodes[item]
         if isinstance(op, Leaf):
-            rendered.append(leaf_to_str(op))
+            out.append(leaf_to_str(op))
         elif not kids:
-            rendered.append(op)
+            out.append(op)
         else:
-            rendered.append("(" + " ".join([op] + [rendered[k] for k in kids]) + ")")
-    return rendered[-1]
+            out.append("(" + op)
+            stack.append(")")
+            for k in reversed(kids):
+                stack.append(k)
+                stack.append(" ")
+    return "".join(out)

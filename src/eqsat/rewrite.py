@@ -20,6 +20,8 @@ from .pattern import (
     parse_pattern,
 )
 
+# A condition may declare the pattern variables it reads as a `variables`
+# tuple; a rewrite then rejects any the searcher does not bind.
 Condition = Callable[[EGraph, int, dict], bool]
 
 
@@ -33,6 +35,10 @@ class Applier:
 
     def fresh_vars(self) -> tuple[str, ...]:
         """Variables the applier binds itself at apply time."""
+        return ()
+
+    def condition_vars(self) -> tuple[str, ...]:
+        """Variables its conditions read before anything is applied."""
         return ()
 
 
@@ -62,6 +68,10 @@ class ConditionalApplier(Applier):
 
     def fresh_vars(self):
         return self.inner.fresh_vars()
+
+    def condition_vars(self):
+        declared = getattr(self.condition, "variables", ())
+        return tuple(declared) + self.inner.condition_vars()
 
 
 @dataclass
@@ -95,6 +105,10 @@ class ConditionEqual:
         b = lookup_subst(self.p2, subst, egraph)
         return b is not None and a == b
 
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.p1.vars() + self.p2.vars()
+
     @staticmethod
     def parse(text1: str, text2: str, lang: LanguageDef) -> "ConditionEqual":
         return ConditionEqual(parse_pattern(text1, lang), parse_pattern(text2, lang))
@@ -111,6 +125,7 @@ def is_const(var: str) -> Condition:
     def cond(egraph, eclass, subst):
         return class_constant(egraph, subst[var]) is not None
 
+    cond.variables = (var,)
     return cond
 
 
@@ -119,6 +134,7 @@ def is_nonzero_const(var: str) -> Condition:
         value = class_constant(egraph, subst[var])
         return value is not None and value != 0
 
+    cond.variables = (var,)
     return cond
 
 
@@ -126,6 +142,7 @@ def is_not_same_var(v1: str, v2: str) -> Condition:
     def cond(egraph, eclass, subst):
         return egraph.find(subst[v1]) != egraph.find(subst[v2])
 
+    cond.variables = (v1, v2)
     return cond
 
 
@@ -140,11 +157,21 @@ class Rewrite:
     applier: Applier
 
     def __post_init__(self):
-        bound = set(self.searcher.vars()) | set(self.applier.fresh_vars())
+        searched = set(self.searcher.vars())
+        bound = searched | set(self.applier.fresh_vars())
         missing = [v for v in self.applier.pattern_vars() if v not in bound]
         if missing:
             raise RewriteError(
                 f"rewrite {self.name!r} uses unbound variables: {', '.join(missing)}"
+            )
+        unbound = [
+            v for v in dict.fromkeys(self.applier.condition_vars())
+            if v not in searched
+        ]
+        if unbound:
+            raise RewriteError(
+                f"rewrite {self.name!r}: condition uses variables the "
+                f"left-hand side does not bind: {', '.join(unbound)}"
             )
 
     @staticmethod
@@ -193,10 +220,8 @@ def _read_pattern(tokens: list[tuple[str, int]], at: int, lang: LanguageDef):
     return Pattern(tuple(nodes)), after
 
 
-def _parse_condition(
-    tokens: list[tuple[str, int]], lang: LanguageDef
-) -> tuple[Condition, tuple[str, ...]]:
-    """A builtin condition and the variables it reads."""
+def _parse_condition(tokens: list[tuple[str, int]], lang: LanguageDef) -> Condition:
+    """The builtin condition named after a rule's `if`."""
     if not tokens:
         raise RewriteError("empty condition")
     head = tokens[0][0]
@@ -204,17 +229,17 @@ def _parse_condition(
     if head == "is-const":
         if len(rest) != 1 or not rest[0].startswith("?"):
             raise RewriteError("is-const takes one pattern variable")
-        return is_const(rest[0]), rest
+        return is_const(rest[0])
     if head == "not-same-var":
         if len(rest) != 2:
             raise RewriteError("not-same-var takes two pattern variables")
-        return is_not_same_var(*rest), rest
+        return is_not_same_var(*rest)
     if head == "eq":
         p1, at = _read_pattern(tokens, 1, lang)
         p2, at = _read_pattern(tokens, at, lang)
         if at != len(tokens):
             raise RewriteError("eq takes exactly two patterns")
-        return ConditionEqual(p1, p2), p1.vars() + p2.vars()
+        return ConditionEqual(p1, p2)
     raise RewriteError(f"unknown builtin condition {head!r}")
 
 
@@ -234,14 +259,7 @@ def _parse_rule(line: str, lang: LanguageDef) -> Rewrite:
     if at < len(tokens):
         if tokens[at][0] != "if":
             raise RewriteError("trailing tokens after rhs")
-        condition, used = _parse_condition(tokens[at + 1 :], lang)
-        unbound = [v for v in dict.fromkeys(used) if v not in searcher.vars()]
-        if unbound:
-            raise RewriteError(
-                f"condition uses variables the left-hand side does not bind: "
-                f"{', '.join(unbound)}"
-            )
-        applier = ConditionalApplier(condition, applier)
+        applier = ConditionalApplier(_parse_condition(tokens[at + 1 :], lang), applier)
     return Rewrite(name.strip(), searcher, applier)
 
 

@@ -6,10 +6,13 @@ minimum term size by depth-bounded dynamic programming.
 """
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 from fractions import Fraction
 
-from eqsat import EGraph, ENode, Leaf, Term, num, sym
+from eqsat import EGraph, ENode, Leaf, Term, build_cost_table, num, sym
+from eqsat.language import leaf_to_str
 
 
 class NaiveCongruence:
@@ -313,3 +316,77 @@ def random_rationals(rng: random.Random, names, lo=-6, hi=6):
         denominator = rng.randint(1, 4)
         env[name] = Fraction(rng.randint(lo, hi), denominator)
     return env
+
+
+@contextlib.contextmanager
+def shallow_recursion_limit(headroom: int = 100):
+    """Lower the recursion limit to the current frame depth plus `headroom`,
+    so any walk that recurses once per term level fails on deep input."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def reference_print(term: Term) -> str:
+    """Render every subterm's full string bottom-up (quadratic in depth);
+    the reference for print_term's output bytes."""
+    rendered: list[str] = []
+    for op, kids in term.nodes:
+        if isinstance(op, Leaf):
+            rendered.append(leaf_to_str(op))
+        elif not kids:
+            rendered.append(op)
+        else:
+            rendered.append("(" + " ".join([op] + [rendered[k] for k in kids]) + ")")
+    return rendered[-1]
+
+
+def term_key(term: Term):
+    """Structural sort key of a term as nested tuples: operators before
+    leaves, then operator name or leaf kind and value, then child keys."""
+    keys = []
+    for op, kids in term.nodes:
+        if isinstance(op, Leaf):
+            value = int(op.value) if op.kind == "bool" else op.value
+            keys.append((1, op.kind, value, ()))
+        else:
+            keys.append((0, op, 0, tuple(keys[k] for k in kids)))
+    return keys[-1]
+
+
+def oracle_extracted_terms(egraph: EGraph, cost_fn) -> dict[int, Term]:
+    """Per class, the least `term_key` term among the nodes achieving the
+    class's minimum cost, built whole for every class in sweeps over the
+    class map (a class is settled in the first sweep in which some
+    minimum-cost node has all its children settled).  The costs come from
+    build_cost_table; only the choice among minimum-cost nodes is redone."""
+    costs = {cid: entry[0] for cid, entry in build_cost_table(egraph, cost_fn).items()}
+    terms: dict[int, Term] = {}
+    progress = True
+    while progress:
+        progress = False
+        for class_id, eclass in egraph.classes.items():
+            if class_id in terms or class_id not in costs:
+                continue
+            best = None
+            for node in eclass.nodes:
+                if not all(c in terms for c in node.children):
+                    continue
+                if cost_fn(node, [costs[c] for c in node.children]) != costs[class_id]:
+                    continue
+                if isinstance(node.op, Leaf):
+                    term = Term.leaf(node.op)
+                else:
+                    term = Term.apply(node.op, *(terms[c] for c in node.children))
+                if best is None or term_key(term) < term_key(best):
+                    best = term
+            if best is not None:
+                terms[class_id] = best
+                progress = True
+    return terms

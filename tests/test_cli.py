@@ -140,6 +140,18 @@ def test_check_equiv_malformed_pairs_line_is_exit_two(tmp_path):
         assert "(line 3)" in result.output
 
 
+def test_check_equiv_pairs_file_without_pairs_is_exit_two(tmp_path):
+    pairs = tmp_path / "pairs.txt"
+    for text in ("", "# only a comment\n\n"):
+        pairs.write_text(text)
+        for batched in ((), ("--batched",)):
+            result = invoke(
+                "check-equiv", "--rules", "math", "--pairs", str(pairs), *batched
+            )
+            assert result.exit_code == 2
+            assert f"no pairs in {pairs}" in result.output
+
+
 def test_malformed_rules_file_is_exit_two(tmp_path):
     rules = tmp_path / "bad.rules"
     for text in ("r: (* ?x 1) => ?x if is-const ?y\n", "r: (* ?x 1 => ?x\n"):

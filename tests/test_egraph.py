@@ -2,8 +2,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
 from eqsat import EGraph, ENode, num, parse_term, sym
-from eqsat.domains.math import MATH
+from eqsat.domains.math import MATH, make_egraph as math_egraph
 
 from helpers import (
     NaiveCongruence,
@@ -269,6 +270,20 @@ def test_invariant_check_reports_congruence_violation():
     assert any("congruence" in v for v in violations)
     g.rebuild()
     assert g.invariant_check() == []
+
+
+@pytest.mark.parametrize("eager", [False, True], ids=["deferred", "eager"])
+def test_invariant_check_leaves_graph_unchanged(eager):
+    g = math_egraph(rebuild_after_merge=eager)
+    g.add_term(parse_term("(+ a 1)", MATH))
+    g.rebuild()
+    # off the analysis fixpoint: constant folding would add the leaf 5 to
+    # a's class and merge it in
+    g[g.lookup(ENode(sym("a"), ()))].data = 5
+    before = (g.dump(), g.union_count, g.n_nodes(), g.clean)
+    violations = g.invariant_check()
+    assert "analysis modify hook is not at a fixpoint" in violations
+    assert (g.dump(), g.union_count, g.n_nodes(), g.clean) == before
 
 
 def test_hashcons_counter_parity():

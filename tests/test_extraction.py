@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -15,13 +16,19 @@ from eqsat import (
     extract_best,
     num,
     parse_term,
+    print_term,
     sym,
     weighted_ast_size,
 )
 from eqsat.domains.math import MATH, make_egraph as math_egraph, strength_reduction_rules
 from eqsat.runner import RunnerConfig, run
 
-from helpers import min_size_by_depth, random_small_egraph
+from helpers import (
+    min_size_by_depth,
+    oracle_extracted_terms,
+    random_small_egraph,
+    shallow_recursion_limit,
+)
 
 
 def test_ast_size_examples():
@@ -192,3 +199,104 @@ def test_depth_cost_extraction():
     term, cost = extract_best(g, left, ast_depth)
     assert cost == 3
     assert str(term) == "(+ (+ a b) (+ c d))"
+
+
+def graph_with_equal_cost_alternatives(rng: random.Random) -> EGraph:
+    """Random graph over a few leaves and binary operators in which classes
+    of equal ast-size are merged, so many classes hold several minimum-cost
+    nodes whose subterms differ deep down."""
+    g = EGraph()
+    ids = [g.add(ENode(sym(name), ())) for name in "abc"]
+    ids += [g.add(ENode(num(value), ())) for value in (1, 2)]
+    for _ in range(rng.randint(2, 4)):
+        for _ in range(rng.randint(4, 12)):
+            op = rng.choice(("+", "*", "-"))
+            ids.append(g.add(ENode(op, (rng.choice(ids), rng.choice(ids)))))
+        g.rebuild()
+        by_cost: dict = {}
+        for cid, (cost, _) in build_cost_table(g, ast_size).items():
+            by_cost.setdefault(cost, []).append(cid)
+        for same in by_cost.values():
+            if len(same) >= 2 and rng.random() < 0.6:
+                g.merge(*rng.sample(same, 2))
+        g.rebuild()
+    return g
+
+
+@pytest.mark.parametrize(
+    "cost_fn",
+    [ast_size, ast_depth, weighted_ast_size({"*": 0})],
+    ids=["ast_size", "ast_depth", "weighted-zero"],
+)
+def test_best_is_tie_break_oracle_pick(cost_fn):
+    rng = random.Random(4242)
+    tied = 0
+    for _ in range(60):
+        g = graph_with_equal_cost_alternatives(rng)
+        oracle = oracle_extracted_terms(g, cost_fn)
+        extractor = Extractor(g, cost_fn)
+        costs = extractor.costs
+        for cid, eclass in g.classes.items():
+            minimal = [
+                node for node in eclass.nodes
+                if all(c in costs for c in node.children)
+                and cost_fn(node, [costs[c] for c in node.children]) == costs.get(cid)
+            ]
+            tied += len(minimal) >= 2
+            if cid in oracle:
+                assert extractor.best(cid)[0] == oracle[cid]
+            else:
+                with pytest.raises(ExtractionError):
+                    extractor.best(cid)
+    assert tied >= 100  # the graphs do exercise the tie-break
+
+
+def spine_text(depth: int) -> str:
+    """A depth-`depth` chain of binary nodes, each with a leaf on one side."""
+    opens, closes = [], []
+    for i in range(depth):
+        op = "+*-"[i % 3]
+        if i % 2:
+            opens.append(f"({op} x{i % 7} ")
+            closes.append(")")
+        else:
+            opens.append(f"({op} ")
+            closes.append(f" y{i % 5})")
+    return "".join(opens) + "a" + "".join(reversed(closes))
+
+
+def balanced_text(n_leaves: int) -> str:
+    """A balanced tree of random binary operators over random letters; the
+    lowest levels repeat, so the graph shares them and extraction expands
+    the shared classes back into a tree."""
+    rng = random.Random(10)
+    level = [rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(n_leaves)]
+    while len(level) > 1:
+        pairs = [
+            f"({rng.choice('+*-/')} {l} {r})" for l, r in zip(level[::2], level[1::2])
+        ]
+        level = pairs + level[len(pairs) * 2 :]
+    return level[0]
+
+
+@pytest.mark.parametrize(
+    "text, n_nodes",
+    [(spine_text(10_000), 20_001), (balanced_text(50_000), 99_999)],
+    ids=["spine-depth-10^4", "balanced-10^5-nodes"],
+)
+def test_round_trip_through_egraph_without_recursion(text, n_nodes):
+    """parse -> add_term -> rebuild -> extract -> print gives the input back,
+    within 5 s, with no Python frame per term level anywhere on the path."""
+    start = time.perf_counter()
+    with shallow_recursion_limit():
+        term = parse_term(text, MATH)
+        g = EGraph()
+        root = g.add_term(term)
+        g.rebuild()
+        best, cost = Extractor(g).best(root)
+        printed = print_term(best)
+    elapsed = time.perf_counter() - start
+    assert len(term) == n_nodes and cost == n_nodes
+    assert g.n_classes() > n_nodes // 4
+    assert printed == text
+    assert elapsed < 5.0, f"round trip took {elapsed:.2f} s"

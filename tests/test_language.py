@@ -16,8 +16,9 @@ from eqsat import (
 )
 from eqsat.domains.lam import LAMBDA
 from eqsat.domains.math import MATH
+from eqsat.pattern import parse_pattern
 
-from helpers import random_term
+from helpers import random_term, reference_print, shallow_recursion_limit
 
 
 def test_parse_division_demo_term():
@@ -136,6 +137,7 @@ def test_duplicate_arity_validation():
 def test_round_trip_random_math_terms(seed):
     rng = random.Random(seed)
     term = random_term(rng, MATH, depth=rng.randint(1, 5))
+    assert print_term(term) == reference_print(term)
     assert parse_term(print_term(term), MATH) == term
 
 
@@ -144,6 +146,7 @@ def test_round_trip_random_math_terms(seed):
 def test_round_trip_random_lambda_terms(seed):
     rng = random.Random(seed)
     term = random_term(rng, LAMBDA, depth=rng.randint(1, 4))
+    assert print_term(term) == reference_print(term)
     assert parse_term(print_term(term), LAMBDA) == term
 
 
@@ -152,3 +155,50 @@ def test_subterm_extraction_matches_children():
     left, right = term.children()
     assert print_term(left) == "(+ a b)"
     assert print_term(right) == "(/ c 2)"
+
+
+# Recorded from the recursive reader this one replaced: every error keeps its
+# type, message and position.
+READER_ERRORS = [
+    ("unclosed-depth-3", parse_term, "(+ a (+ b (* c d)",
+     ParseError, "unclosed '(' (at position 5)", 5),
+    ("unclosed-depth-2000", parse_term, "(+ a " * 2000 + "b",
+     ParseError, "unclosed '(' (at position 9995)", 9995),
+    ("stray-close", parse_term, ")",
+     ParseError, "unexpected ')' (at position 0)", 0),
+    ("close-after-term", parse_term, "(+ a b))",
+     ParseError, "trailing input after expression (at position 7)", 7),
+    ("empty-application", parse_term, "()",
+     ParseError, "expected an operator after '(' (at position 0)", 0),
+    ("application-as-operator", parse_term, "((+ a b) c)",
+     ParseError, "expected an operator after '(' (at position 0)", 0),
+    ("too-few-arguments", parse_term, "(+ 1)",
+     ArityError, "operator '+' expects 2 arguments, got 1 (at position 1)", 1),
+    ("operator-as-atom", parse_term, "(+ a +)",
+     ArityError, "operator '+' expects 2 arguments, got 0 (at position 5)", 5),
+    ("unknown-operator", parse_term, "(foo a b)",
+     UnknownOperatorError, "unknown operator 'foo' (at position 1)", 1),
+    ("bare-?-in-pattern", parse_pattern, "(+ ? a)",
+     ParseError, "bare '?' is not a variable name (at position 3)", 3),
+    ("bare-?-in-term", parse_term, "(+ ? a)",
+     ParseError, "pattern variable '?' not allowed in a ground term (at position 3)", 3),
+    ("trailing-input", parse_term, "(+ a b) c",
+     ParseError, "trailing input after expression (at position 8)", 8),
+    ("empty-input", parse_term, "",
+     ParseError, "expected an expression (at position 0)", 0),
+    ("zero-denominator", parse_term, "(+ 1/0 a)",
+     ParseError, "zero denominator in '1/0' (at position 3)", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, text, error, message, position",
+    [case[1:] for case in READER_ERRORS],
+    ids=[case[0] for case in READER_ERRORS],
+)
+def test_reader_error_parity(reader, text, error, message, position):
+    with shallow_recursion_limit(), pytest.raises(ParseError) as err:
+        reader(text, MATH)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert err.value.position == position

@@ -10,7 +10,12 @@ from eqsat import (
     parse_term,
     sym,
 )
-from eqsat.rewrite import RewriteError
+from eqsat.rewrite import (
+    RewriteError,
+    is_const,
+    is_nonzero_const,
+    is_not_same_var,
+)
 from eqsat.domains.lam import LAMBDA, lambda_rules, make_egraph as lam_egraph
 from eqsat.domains.math import MATH, make_egraph as math_egraph
 
@@ -120,6 +125,22 @@ def test_condition_equal_lookup_semantics():
 def test_unbound_applier_variable_rejected():
     with pytest.raises(RewriteError):
         Rewrite.parse("bad", "(+ ?a ?b)", "(+ ?a ?c)", MATH)
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        is_const("?y"),
+        is_nonzero_const("?y"),
+        is_not_same_var("?x", "?y"),
+        ConditionEqual.parse("?x", "(+ ?x ?y)", MATH),
+    ],
+    ids=["is_const", "is_nonzero_const", "is_not_same_var", "ConditionEqual"],
+)
+def test_python_condition_variables_must_be_bound_by_lhs(condition):
+    with pytest.raises(RewriteError, match=r"does not bind: \?y"):
+        Rewrite.parse("r", "(* ?x 1)", "?x", MATH, [condition])
+    Rewrite.parse("r", "(* ?x ?y)", "?x", MATH, [condition])
 
 
 def test_capture_avoid_not_free_branch():
