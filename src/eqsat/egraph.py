@@ -36,6 +36,11 @@ def enode_sort_key(node: ENode):
     return (0, op, 0, node.children)
 
 
+class DirtyGraphError(AssertionError):
+    """A query that needs the invariants (e-matching, extraction) was given
+    a graph with merges not yet rebuilt; call ``rebuild`` first."""
+
+
 class EClass:
     """An equivalence class: member nodes, parent back-references, and
     analysis data.  ``parents`` records every e-node that has this class as
@@ -114,6 +119,13 @@ class EGraph:
 
     def find(self, class_id: int) -> int:
         return self.uf.find(class_id)
+
+    def require_clean(self, query: str) -> None:
+        """Raise DirtyGraphError unless the invariants hold.  A real check,
+        not an assert: queries trust canonical ids, so under ``python -O``
+        a dirty graph would give wrong answers silently."""
+        if not self.clean:
+            raise DirtyGraphError(f"{query} needs a clean graph; call rebuild first")
 
     def equiv(self, a: int, b: int) -> bool:
         return self.uf.find(a) == self.uf.find(b)

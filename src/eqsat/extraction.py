@@ -44,15 +44,22 @@ class ExtractionError(Exception):
 
 def build_cost_table(egraph: EGraph, cost_fn: CostFunction = ast_size) -> dict:
     """Fixpoint over all classes: per canonical class the (cost, node) pair
-    of its cheapest e-node.  Repeated sweeps until nothing improves; ties
-    break on the node's structural sort key so the table is deterministic."""
-    assert egraph.clean, "extraction requires a clean graph"
+    of its cheapest e-node; ties break on the node's structural sort key so
+    the table is deterministic.
+
+    A sweep visits classes in id order.  When a class's entry improves, its
+    parents that this sweep has passed or will not reach are swept again,
+    until a sweep improves nothing: an acyclic graph whose ids follow its
+    structure takes one sweep."""
+    egraph.require_clean("build_cost_table")
+    classes, find = egraph.classes, egraph.uf.find
     table: dict[int, tuple] = {}
-    changed = True
-    while changed:
-        changed = False
-        for class_id, eclass in egraph.classes.items():
-            best = table.get(class_id)
+    sweep, members = list(classes), classes.keys()  # class map ids ascend
+    while sweep:
+        again: set[int] = set()
+        for class_id in sweep:
+            eclass = classes[class_id]
+            before = best = table.get(class_id)
             for node in eclass.nodes:
                 kids = []
                 for child in node.children:
@@ -68,7 +75,12 @@ def build_cost_table(egraph: EGraph, cost_fn: CostFunction = ast_size) -> dict:
                     if best is None or candidate[:2] < best[:2]:
                         best = candidate
                         table[class_id] = candidate
-                        changed = True
+            if best is not before:
+                for _, parent in eclass.parents:
+                    parent = find(parent)
+                    if parent <= class_id or parent not in members:
+                        again.add(parent)
+        sweep, members = sorted(again), again
     return {cid: (cost, node) for cid, (cost, _, node) in table.items()}
 
 
@@ -237,7 +249,7 @@ def extract_as_analysis(egraph: EGraph, cost_fn: CostFunction = ast_size) -> dic
     """Per-class (cost, node) table computed through the analysis hooks
     (entry construction plus semilattice join) instead of the sweep in
     build_cost_table; the two must agree."""
-    assert egraph.clean
+    egraph.require_clean("extract_as_analysis")
     analysis = MinCostExtraction(cost_fn)
     entries: dict[int, Optional[tuple]] = {cid: None for cid in egraph.classes}
     changed = True

@@ -1,14 +1,15 @@
 """Patterns with variables and e-matching.
 
-Patterns compile to a small instruction program executed against one class
-at a time by a backtracking virtual machine; ``ematch`` runs the program
-over every canonical class of a clean graph and returns the substitutions
-under which the pattern is represented there.
+Patterns compile to a small instruction program that a backtracking
+virtual machine runs against the classes of a clean graph.  ``ematch`` runs
+it over every candidate class and returns the substitutions under which
+the pattern is represented there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional
 
 from .egraph import EGraph, ENode
 from .language import LanguageDef, Leaf, Op, is_var, print_term, read_one
@@ -43,8 +44,9 @@ def parse_pattern(text: str, lang: LanguageDef) -> Pattern:
 # compilation to a small virtual machine
 
 class Bind(NamedTuple):
-    """Try every node with this op/arity in the class held by `reg`,
-    loading its children into registers `out` .. `out+arity-1`."""
+    """Check that the class held by `reg` has a node with this op/arity and
+    load its children into registers `out` .. `out+arity-1`, trying every
+    such node in turn.  A childless Bind is one hashcons probe."""
 
     reg: int
     op: object
@@ -53,8 +55,8 @@ class Bind(NamedTuple):
 
 
 class Compare(NamedTuple):
-    """Nonlinear-variable consistency: both registers must canonicalize
-    to the same class."""
+    """Nonlinear-variable consistency: both registers must hold the same
+    class."""
 
     reg: int
     other: int
@@ -63,7 +65,7 @@ class Compare(NamedTuple):
 @dataclass(frozen=True)
 class MatchProgram:
     instructions: tuple
-    var_regs: tuple[tuple[str, int], ...]  # variable name -> register
+    var_regs: tuple[tuple[str, int], ...]  # (variable name, register), by name
     n_regs: int
 
 
@@ -73,8 +75,7 @@ def compile_pattern(pattern: Pattern) -> MatchProgram:
     var_regs: dict[str, int] = {}
     n_regs = 1
     todo: list[tuple[int, int]] = [(len(nodes) - 1, 0)]
-    while todo:
-        index, reg = todo.pop(0)
+    for index, reg in todo:  # breadth-first: the loop visits what it appends
         op, kids = nodes[index]
         if is_var(op):
             if op.value in var_regs:
@@ -86,40 +87,92 @@ def compile_pattern(pattern: Pattern) -> MatchProgram:
             for i, kid in enumerate(kids):
                 todo.append((kid, n_regs + i))
             n_regs += len(kids)
-    return MatchProgram(tuple(instructions), tuple(var_regs.items()), n_regs)
+    return MatchProgram(tuple(instructions), tuple(sorted(var_regs.items())), n_regs)
 
 
 def run_program(
-    egraph: EGraph, program: MatchProgram, class_id: int
-) -> list[dict[str, int]]:
-    """Execute a match program against one canonical class; returns the
-    substitutions (variable name to canonical class id), deduplicated."""
+    egraph: EGraph, program: MatchProgram, class_ids: Iterable[int]
+) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Execute a match program against each given class of a clean graph;
+    returns ``(class id, matches)`` for the classes that match, where the
+    matches are distinct and sorted, each a tuple of class ids with one
+    slot per variable in ``program.var_regs`` order.
+
+    Every id the VM reads is already canonical in a clean graph, so it
+    compares registers without ``find``.  Backtracking is an explicit stack
+    of Bind frames ``[pc, nodes, next index, end]``."""
+    code = program.instructions
+    end = len(code)
+    slots = [reg for _, reg in program.var_regs]
+    # itemgetter returns a tuple only for two or more indexes
+    pick = (
+        itemgetter(*slots) if len(slots) > 1 else lambda r: tuple([r[i] for i in slots])
+    )
     regs = [0] * program.n_regs
-    regs[0] = class_id
-    instructions = program.instructions
-    find = egraph.uf.find
-    classes = egraph.classes
-    out: dict[tuple, dict[str, int]] = {}
-
-    def step(i: int) -> None:
-        if i == len(instructions):
-            subst = {name: find(regs[reg]) for name, reg in program.var_regs}
-            out.setdefault(tuple(sorted(subst.items())), subst)
-            return
-        ins = instructions[i]
-        if type(ins) is Bind:
-            eclass = classes[find(regs[ins.reg])]
-            op, arity, base = ins.op, ins.arity, ins.out
-            for node in eclass.nodes:
-                if node.op == op and len(node.children) == arity:
-                    regs[base : base + arity] = node.children
-                    step(i + 1)
-        else:
-            if find(regs[ins.reg]) == find(regs[ins.other]):
-                step(i + 1)
-
-    step(0)
-    return list(out.values())
+    classes, hashcons = egraph.classes, egraph.hashcons
+    stack: list[list] = []
+    results = []
+    for class_id in class_ids:
+        regs[0] = class_id
+        found: set[tuple[int, ...]] = set()
+        pc = 0
+        while True:
+            while pc < end:
+                ins = code[pc]
+                if ins.__class__ is Compare:
+                    if regs[ins.reg] != regs[ins.other]:
+                        break
+                elif not ins.arity:
+                    # (op, ()) hashes and compares like ENode(op, ())
+                    if hashcons.get((ins.op, ())) != regs[ins.reg]:
+                        break
+                else:
+                    nodes = classes[regs[ins.reg]].nodes
+                    op = ins.op
+                    lo, hi = 0, len(nodes)
+                    while lo < hi:  # bisect the operator prefix; leaves compare high
+                        mid = (lo + hi) // 2
+                        mid_op = nodes[mid].op
+                        if mid_op.__class__ is str and mid_op < op:
+                            lo = mid + 1
+                        else:
+                            hi = mid
+                    hi = lo
+                    while hi < len(nodes) and nodes[hi].op == op:
+                        hi += 1
+                    if pc + 1 < end:
+                        stack.append([pc, nodes, lo, hi])
+                        break
+                    # the last instruction: each node in the run is a match
+                    base, arity = ins.out, ins.arity
+                    for node in nodes[lo:hi]:
+                        kids = node.children
+                        if len(kids) == arity:
+                            regs[base : base + arity] = kids
+                            found.add(pick(regs))
+                    break
+                pc += 1
+            else:
+                found.add(pick(regs))
+            # resume the innermost Bind that has a node left to try
+            while stack:
+                frame = stack[-1]
+                pc, nodes, i, hi = frame
+                if i == hi:
+                    stack.pop()
+                    continue
+                frame[2] = i + 1
+                kids = nodes[i].children
+                ins = code[pc]
+                if len(kids) == ins.arity:
+                    regs[ins.out : ins.out + ins.arity] = kids
+                    pc += 1
+                    break
+            else:
+                break
+        if found:
+            results.append((class_id, sorted(found)))
+    return results
 
 
 class SearchMatches(NamedTuple):
@@ -129,29 +182,36 @@ class SearchMatches(NamedTuple):
     substs: list[dict[str, int]]
 
 
+def _substs(program: MatchProgram, matches: list[tuple[int, ...]]) -> list[dict]:
+    names = [name for name, _ in program.var_regs]
+    return [dict(zip(names, match)) for match in matches]
+
+
 def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
     """Find every (substitution, class) pair where the pattern is
     represented: sound and complete up to canonicalization, read-only,
-    results sorted by class id."""
-    assert egraph.clean, "ematch on a dirty graph may miss matches; rebuild first"
+    results sorted by class id, each class's substitutions sorted by their
+    class ids in variable-name order."""
+    egraph.require_clean("ematch")
+    program = pattern.program
     root = pattern.nodes[-1][0]
     if is_var(root):
         candidates = sorted(egraph.classes)
     else:
-        candidates = sorted(egraph.classes_with_op(root))
-    results = []
-    for class_id in candidates:
-        substs = run_program(egraph, pattern.program, class_id)
-        if substs:
-            substs.sort(key=lambda s: tuple(sorted(s.items())))
-            results.append(SearchMatches(class_id, substs))
-    return results
+        candidates = egraph.classes_with_op(root)  # ascending when clean
+    return [
+        SearchMatches(class_id, _substs(program, matches))
+        for class_id, matches in run_program(egraph, program, candidates)
+    ]
 
 
 def match_in_class(egraph: EGraph, pattern: Pattern, class_id: int) -> list[dict]:
-    """Match a pattern inside one class only (goal checks)."""
-    assert egraph.clean
-    return run_program(egraph, pattern.program, egraph.find(class_id))
+    """Match a pattern inside one class only (goal checks); substitutions
+    in the order ``ematch`` gives them."""
+    egraph.require_clean("match_in_class")
+    program = pattern.program
+    found = run_program(egraph, program, [egraph.find(class_id)])
+    return _substs(program, found[0][1]) if found else []
 
 
 class UnboundVariable(KeyError):

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from eqsat import EGraph, ENode, Leaf, Term, build_cost_table, num, sym
+from eqsat.egraph import enode_sort_key
 from eqsat.language import leaf_to_str
 
 
@@ -390,3 +391,26 @@ def oracle_extracted_terms(egraph: EGraph, cost_fn) -> dict[int, Term]:
                 terms[class_id] = best
                 progress = True
     return terms
+
+
+def reference_cost_table(egraph: EGraph, cost_fn) -> dict:
+    """Per class the least (cost, sort key) node, by full sweeps over the
+    class map until one changes nothing: the reference for
+    build_cost_table, which sweeps only classes whose children changed."""
+    table: dict[int, tuple] = {}
+    changed = True
+    while changed:
+        changed = False
+        for class_id, eclass in egraph.classes.items():
+            for node in eclass.nodes:
+                if not all(c in table for c in node.children):
+                    continue
+                cost = cost_fn(node, [table[c][0] for c in node.children])
+                if cost == float("inf"):
+                    continue
+                candidate = (cost, enode_sort_key(node), node)
+                best = table.get(class_id)
+                if best is None or candidate[:2] < best[:2]:
+                    table[class_id] = candidate
+                    changed = True
+    return {cid: (cost, node) for cid, (cost, _, node) in table.items()}

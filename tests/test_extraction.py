@@ -27,6 +27,7 @@ from helpers import (
     min_size_by_depth,
     oracle_extracted_terms,
     random_small_egraph,
+    reference_cost_table,
     shallow_recursion_limit,
 )
 
@@ -109,6 +110,36 @@ def test_extract_as_analysis_matches_extract_best():
         for cid in table:
             assert table[cid][0] == by_analysis[cid][0]
             assert table[cid][1] == by_analysis[cid][1]
+
+
+@pytest.mark.parametrize(
+    "cost_fn",
+    [ast_size, ast_depth, weighted_ast_size({"*": 0, "+": 0}, default=2),
+     weighted_ast_size({}, default=0)],
+    ids=["ast_size", "ast_depth", "weighted-zero", "all-zero"],
+)
+def test_cost_table_matches_full_sweeps_on_merged_graphs(cost_fn):
+    # many merges leave cycles and parents with lower ids than their
+    # children, so classes need more than one sweep; under all-zero costs
+    # the sort key decides, and a node whose child is its own class wins
+    rng = random.Random(97)
+    for _ in range(60):
+        g, _ = random_small_egraph(rng, MATH, n_terms=6, n_merges=10)
+        assert build_cost_table(g, cost_fn) == reference_cost_table(g, cost_fn)
+
+
+def test_cost_table_is_one_sweep_when_ids_follow_structure():
+    calls = []
+
+    def counting_size(node, child_costs):
+        calls.append(node)
+        return ast_size(node, child_costs)
+
+    g = EGraph()
+    g.add_term(parse_term("(+ (* (+ a b) (- a 2)) (/ (+ a b) (* c (- a 2))))", MATH))
+    g.rebuild()
+    table = build_cost_table(g, counting_size)
+    assert len(calls) == g.n_nodes() == len(table)
 
 
 def test_min_cost_join_keeps_cheaper():

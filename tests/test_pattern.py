@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,16 +11,20 @@ import eqsat.pattern as pattern_module
 from eqsat import (
     Applier,
     ArityError,
+    DirtyGraphError,
     EGraph,
     ENode,
+    LanguageDef,
     Leaf,
     ParseError,
     Pattern,
     RunnerConfig,
     UnknownOperatorError,
     apply_subst,
+    build_cost_table,
     compile_pattern,
     ematch,
+    extract_as_analysis,
     num,
     parse_pattern,
     parse_term,
@@ -33,6 +41,7 @@ from helpers import (
     pattern_depth,
     random_small_egraph,
     random_term,
+    shallow_recursion_limit,
     syntactic_match,
 )
 
@@ -328,3 +337,146 @@ def test_pattern_is_flat_term_with_variable_leaves():
     assert [op for op, _ in p.nodes] == [Leaf("var", "?x"), Leaf("var", "?x"), num(2), "+", "*"]
     assert p.vars() == ("?x",)
     assert str(p) == "(* ?x (+ ?x 2))"
+
+
+def test_dirty_graph_error_is_typed_and_survives_python_O():
+    g, _ = division_demo_graph()
+    g.merge(g.lookup(ENode(sym("a"), ())), g.lookup(ENode(num(2), ())))
+    pattern = parse_pattern("(* ?x 2)", MATH)
+    queries = (
+        lambda: ematch(g, pattern),
+        lambda: match_in_class(g, pattern, 0),
+        lambda: build_cost_table(g),
+        lambda: extract_as_analysis(g),
+    )
+    for query in queries:
+        with pytest.raises(DirtyGraphError):
+            query()
+    # the VM trusts canonical ids, so the check must not be an assert
+    script = (
+        "from eqsat import DirtyGraphError, EGraph, ENode, ematch, parse_pattern, sym\n"
+        "from eqsat.domains.math import MATH\n"
+        "g = EGraph()\n"
+        "a, b = g.add(ENode(sym('a'), ())), g.add(ENode(sym('b'), ()))\n"
+        "g.merge(a, b)\n"
+        "try:\n"
+        "    ematch(g, parse_pattern('?x', MATH))\n"
+        "except DirtyGraphError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised ematch needs a clean graph")
+
+
+def test_compile_order_is_breadth_first():
+    # recorded from the compiler that popped its work list from the front
+    program = compile_pattern(parse_pattern("(+ (* ?a 2) (/ (- ?b 1) ?a))", MATH))
+    assert program.instructions == (
+        Bind(0, "+", 2, 1),
+        Bind(1, "*", 2, 3),
+        Bind(2, "/", 2, 5),
+        Bind(4, num(2), 0, 7),
+        Bind(5, "-", 2, 7),
+        Compare(6, 3),
+        Bind(8, num(1), 0, 9),
+    )
+    assert program.var_regs == (("?a", 3), ("?b", 7)) and program.n_regs == 9
+
+
+UNARY = LanguageDef("unary", {"f": 1}, frozenset({"sym"}))
+
+
+def test_deep_pattern_spine_compiles_and_matches_without_recursion():
+    depth = 2000
+    pattern_text = "(f " * depth + "?x" + ")" * depth
+    term_text = "(f " * (depth + 1) + "a" + ")" * (depth + 1)
+    g = EGraph()
+    root = g.add_term(parse_term(term_text, UNARY))
+    g.rebuild()
+    with shallow_recursion_limit():
+        pattern = parse_pattern(pattern_text, UNARY)
+        matches = ematch(g, pattern)
+    a = g.lookup(ENode(sym("a"), ()))
+    f_a = g.lookup(ENode("f", (a,)))
+    below_root = g.classes[root].nodes[0].children[0]
+    assert len(pattern.program.instructions) == depth
+    assert matches == [(below_root, [{"?x": a}]), (root, [{"?x": f_a}])]
+
+
+# A language whose classes mix leaves, a nullary operator and a variadic
+# operator, so Bind meets same-op runs of several arities and hashcons probes.
+MIXED = LanguageDef(
+    "mixed", {"f": 2, "g": 1, "nil": 0, "lst": None}, frozenset({"num", "sym"})
+)
+MIXED_LEAVES = [num(1), num(2), sym("a"), sym("b")]
+
+
+def random_mixed_egraph(rng, n_nodes=40, n_merges=12):
+    """Random nodes over MIXED plus many merges, so classes hold several
+    nodes with the same operator next to leaves and `nil`."""
+    g = EGraph()
+    ids = [g.add(ENode(leaf, ())) for leaf in MIXED_LEAVES]
+    ids.append(g.add(ENode("nil", ())))
+    for _ in range(n_nodes):
+        op = rng.choice(["f", "f", "g", "lst"])
+        arity = {"f": 2, "g": 1}.get(op, rng.randint(0, 3))
+        ids.append(g.add(ENode(op, tuple(g.find(rng.choice(ids)) for _ in range(arity)))))
+    for _ in range(n_merges):
+        g.merge(rng.choice(ids), rng.choice(ids))
+    g.rebuild()
+    return g, ids
+
+
+MIXED_PATTERNS = [
+    "nil", "2", "a", "(lst)", "(g nil)", "(f nil ?x)", "(f ?x 2)", "(f 1 ?x)",
+    "(g (f ?x nil))", "(lst ?x)", "(lst ?x ?y)", "(lst ?x nil ?y)",
+    "(f ?x ?x)", "(f ?x (f ?x 1))", "(f (g ?x) (lst ?x 2))",
+    "(f ?y (g ?x))", "(f (f ?x ?y) ?z)", "(lst ?x (g ?y) ?x)", "?x",
+]
+
+
+def _listing(matches):
+    return [(m[0], m[1]) for m in matches]
+
+
+def test_matcher_agrees_with_naive_on_mixed_classes_in_order():
+    rng = random.Random(2024)
+    patterns = [parse_pattern(text, MIXED) for text in MIXED_PATTERNS]
+    busy = 0
+    for _ in range(40):
+        g, _ = random_mixed_egraph(rng)
+        busy += sum(len(c.nodes) >= 4 for c in g.classes.values())
+        for pattern in patterns:
+            assert _listing(ematch(g, pattern)) == _listing(naive_ematch(g, pattern)), str(pattern)
+    assert busy >= 40  # classes that hold many nodes were exercised
+
+
+def test_match_in_class_with_noncanonical_id_agrees_with_naive():
+    rng = random.Random(77)
+    patterns = [parse_pattern(text, MIXED) for text in MIXED_PATTERNS]
+    stale = 0
+    for _ in range(15):
+        g, ids = random_mixed_egraph(rng)
+        for pattern in patterns:
+            expected = dict(naive_ematch(g, pattern))
+            for class_id in range(len(g.uf)):
+                stale += g.find(class_id) != class_id
+                got = match_in_class(g, pattern, class_id)
+                assert got == expected.get(g.find(class_id), []), (str(pattern), class_id)
+    assert stale > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000))
+def test_matcher_agrees_with_naive_on_heavily_merged_graphs(seed):
+    rng = random.Random(seed)
+    g, _ = random_small_egraph(rng, MATH, n_terms=6, n_merges=12)
+    for _ in range(3):
+        pattern = random_pattern(rng)
+        assert _listing(ematch(g, pattern)) == _listing(naive_ematch(g, pattern))
