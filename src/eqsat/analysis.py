@@ -3,14 +3,22 @@
 An analysis attaches a value from a join-semilattice domain to every e-class.
 The e-graph keeps this data consistent through the same worklist machinery
 that restores congruence: when classes merge their data is joined, and when
-a class changes its parents are re-made and re-joined.
+a class's data changes its parents are re-made and re-joined.  Parents of a
+class whose data did not change are not re-made.
 
 Hook contract:
-  * ``make(egraph, node)`` is pure and may only read the data of the node's
-    children.
+  * ``make(egraph, node)`` is pure and monotone: its result is a function of
+    the node's operator and its children's data alone.  It stores no class
+    id (beyond the node's own children) and reads nothing else of the
+    graph, so a merge that leaves a child's data equal leaves every parent's
+    ``make`` equal too.
+  * Data is compared with ``==``: a merge re-makes the parents of a side
+    whose data differs from the joined data.
   * ``join(into, other)`` is the semilattice join, directional: it returns
     ``(result, changed)`` where ``changed`` is True iff the result differs
-    from ``into``.
+    from ``into``.  During rebuild, ``changed`` decides which parents are
+    re-made: a parent whose join reports no change does not pass the
+    re-make on to its own parents.
   * ``modify(egraph, class_id)`` may add nodes to the class and merge them
     into it; it must be idempotent when nothing else changes.
 
@@ -60,9 +68,11 @@ class Analysis:
         pass
 
     def canonical_data(self, egraph, class_id, data):
-        """Re-express data whose representation mentions class ids after
-        those ids may have been merged away; called once per class at the
-        end of every rebuild.  Must not change the domain element's meaning."""
+        """Re-express data whose representation names a node, whose child
+        ids may have been merged away (``MinCostExtraction`` keeps its
+        cheapest node); called once per class at the end of every rebuild.
+        Must not change anything ``make`` reads.  Data that names no node
+        needs no override."""
         return data
 
     def show(self, data) -> str:

@@ -3,9 +3,9 @@
 Binding is handled by explicit substitution: `let` terms are introduced by
 beta reduction and pushed through the term by rewrite rules until they are
 eliminated at variables and constants.  A per-class analysis tracks an
-over-approximation of free variables (as the e-class ids of their symbol
-leaves) together with the class's constant value, if any; the free-variable
-sets drive capture-avoiding substitution under binders.
+over-approximation of free variables (by symbol name) together with the
+class's constant value, if any; the free-variable sets drive
+capture-avoiding substitution under binders.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from ..analysis import (
     check_folded,
     join_optional_constant,
 )
-from ..egraph import EGraph, ENode
+from ..egraph import EGraph
 from ..language import LanguageDef, Leaf, Term, boolean, num, sym
 from ..pattern import apply_subst, parse_pattern
 from ..rewrite import (
@@ -48,83 +48,88 @@ LAMBDA = LanguageDef(
 )
 
 
+NO_NAMES: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True)
 class LamData:
-    """free: symbol-leaf classes possibly free in the class's terms
-    (an over-approximation); constant: the known constant leaf, if any."""
+    """free: names of the variables possibly free in the class's terms
+    (an over-approximation); constant: the known constant leaf, if any;
+    symbols: names of the symbol leaves in the class."""
 
-    free: frozenset[int]
+    free: frozenset[str]
     constant: Optional[Leaf]
+    symbols: frozenset[str] = NO_NAMES
 
 
-def eval_node(egraph: EGraph, node: ENode) -> Optional[Leaf]:
-    """Constant value of a node whose children are all constants."""
-    op = node.op
-    if isinstance(op, Leaf):
-        return op if op.kind in ("num", "bool") else None
-
-    def const(class_id) -> Optional[Leaf]:
-        return egraph[class_id].data.constant
-
+def eval_node(op, kids: list[LamData]) -> Optional[Leaf]:
+    """Constant value of an operator node whose children are all constants."""
     if op == "+":
-        a, b = (const(c) for c in node.children)
+        a, b = (kid.constant for kid in kids)
         if a is None or b is None or a.kind != "num" or b.kind != "num":
             return None
         return num(check_folded(a.value + b.value))
     if op == "=":
-        a, b = (const(c) for c in node.children)
+        a, b = (kid.constant for kid in kids)
         if a is None or b is None:
             return None
         return boolean(a == b)
     return None
 
 
+def bind(free: frozenset[str], binder: LamData) -> frozenset[str]:
+    """Free names of a body under a binder class.  A binder class holding
+    several symbols (two symbol classes were merged) binds no one name for
+    sure, so nothing is removed: the result stays an over-approximation."""
+    if len(binder.symbols) == 1:
+        return free - binder.symbols
+    return free
+
+
 class LamAnalysis(Analysis):
     def make(self, egraph, node):
-        find = egraph.find
         op = node.op
         if isinstance(op, Leaf):
-            return LamData(frozenset(), op if op.kind in ("num", "bool") else None)
-
-        def free_of(class_id) -> frozenset:
-            return frozenset(find(f) for f in egraph[class_id].data.free)
-
+            if op.kind == "sym":
+                return LamData(NO_NAMES, None, frozenset((op.value,)))
+            return LamData(NO_NAMES, op)
+        kids = [egraph[child].data for child in node.children]
         if op == "var":
-            free = frozenset({find(node.children[0])})
+            free = kids[0].symbols
         elif op == "let":
-            v, a, b = node.children
-            free = (free_of(b) - {find(v)}) | free_of(a)
+            v, a, b = kids
+            free = bind(b.free, v) | a.free
         elif op in ("lam", "fix"):
-            v, b = node.children
-            free = free_of(b) - {find(v)}
+            v, b = kids
+            free = bind(b.free, v)
         else:
-            free = frozenset()
-            for child in node.children:
-                free |= free_of(child)
-        return LamData(free, eval_node(egraph, node))
+            free = NO_NAMES
+            for kid in kids:
+                free |= kid.free
+        return LamData(free, eval_node(op, kids))
 
     def join(self, into, other):
-        free = into.free | other.free
         try:
-            constant, _ = join_optional_constant(into.constant, other.constant)
+            constant, changed = join_optional_constant(into.constant, other.constant)
         except AnalysisContradiction as exc:
             raise AnalysisContradiction(f"lambda constants disagree: {exc}") from None
-        joined = LamData(free, constant)
-        return joined, joined != into
+        # most joins change nothing: keep `into` rather than build an equal copy
+        free, symbols = into.free, into.symbols
+        if not other.free <= free:
+            free, changed = free | other.free, True
+        if not other.symbols <= symbols:
+            symbols, changed = symbols | other.symbols, True
+        return (LamData(free, constant, symbols), True) if changed else (into, False)
 
     def modify(self, egraph, class_id):
         constant = egraph[class_id].data.constant
         if constant is not None:
             egraph.merge(class_id, egraph.add_leaf(constant))
 
-    def canonical_data(self, egraph, class_id, data):
-        free = frozenset(egraph.find(f) for f in data.free)
-        return data if free == data.free else LamData(free, data.constant)
-
     def show(self, data):
         if data is None:
             return "none"
-        free = ",".join(str(f) for f in sorted(data.free))
+        free = ",".join(sorted(data.free))
         const = "-" if data.constant is None else str(data.constant.value)
         return f"free={{{free}}} const={const}"
 
@@ -177,10 +182,7 @@ class CaptureAvoidingSubst(Applier):
         self.if_free = parse_pattern(if_free, LAMBDA)
 
     def apply_one(self, egraph, eclass, subst):
-        find = egraph.find
-        v2 = find(subst[self.v2])
-        e_free = egraph[subst[self.e]].data.free
-        if any(find(f) == v2 for f in e_free):
+        if egraph[subst[self.v2]].data.symbols & egraph[subst[self.e]].data.free:
             fresh_id = egraph.add_leaf(sym(f"_{eclass}"))
             extended = dict(subst)
             extended[self.fresh] = fresh_id

@@ -101,6 +101,9 @@ class EGraph:
         self.classes: dict[int, EClass] = {}
         self.hashcons: dict[ENode, int] = {}
         self.worklist: list[int] = []
+        # classes whose analysis data changed since their parents were last
+        # re-made; repair re-makes the parents of these classes only
+        self.data_changed: set[int] = set()
         self.clean = True
         # rebuild_after_merge emulates eager invariant maintenance: every
         # top-level merge immediately drains the worklist.
@@ -196,7 +199,15 @@ class EGraph:
         if (len(cb.nodes), -rb) > (len(ca.nodes), -ra):
             ra, rb, ca, cb = rb, ra, cb, ca
         self.uf.union_into(ra, rb)
-        ca.data, _ = self.analysis.join(ca.data, cb.data)
+        data, changed = self.analysis.join(ca.data, cb.data)
+        # each side's parents were made from that side's data; they need
+        # re-making if the joined data differs from it, or if they were
+        # still owed a re-make
+        marked = self.data_changed
+        if changed or data != cb.data or rb in marked:
+            marked.add(ra)
+        marked.discard(rb)
+        ca.data = data
         ca.nodes.extend(cb.nodes)
         ca.parents.extend(cb.parents)
         del self.classes[rb]
@@ -257,18 +268,26 @@ class EGraph:
             extra = eclass.parents[len(parents):]
             eclass.parents = list(new_parents.items()) + extra
 
-        # analysis maintenance: modify this class, then re-make and re-join
-        # the data of every parent, re-enqueueing parents whose data changed
+        # analysis maintenance: modify this class, then, if its data changed
+        # since its parents were last made, re-make and re-join the data of
+        # every parent, marking and re-enqueueing parents whose data changed.
+        # make reads only the children's data, so an unmarked class's
+        # parents would be re-made to what they already hold.
         class_id = find(class_id)
         self.analysis.modify(self, class_id)
-        eclass = self.classes[find(class_id)]
-        for p_node, p_class in list(eclass.parents):
+        class_id = find(class_id)
+        marked = self.data_changed
+        if class_id not in marked:
+            return
+        marked.discard(class_id)
+        for p_node, p_class in list(self.classes[class_id].parents):
             p_id = find(p_class)
             p_eclass = self.classes[p_id]
             made = self.analysis.make(self, self.canonicalize(p_node))
             new_data, changed = self.analysis.join(p_eclass.data, made)
             if changed:
                 p_eclass.data = new_data
+                marked.add(p_id)
                 self.worklist.append(p_id)
 
     def _finish_rebuild(self) -> None:

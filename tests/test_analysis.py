@@ -152,11 +152,12 @@ def test_optional_constant_join_semilattice(a, b, c):
         assert join(a, join(b, c)) == join(join(a, b), c)
 
 
-free_sets = st.frozensets(st.integers(0, 6), max_size=4)
+name_sets = st.frozensets(st.sampled_from("uvwxyz"), max_size=4)
 lam_data = st.builds(
     LamData,
-    free=free_sets,
+    free=name_sets,
     constant=st.one_of(st.none(), st.just(num(1)), st.just(num(2))),
+    symbols=name_sets,
 )
 
 
@@ -242,7 +243,8 @@ def test_lambda_free_vars_of_var():
     g = lam_egraph()
     root = g.add_term(parse_term("(var x)", LAMBDA))
     x = g.add(ENode(sym("x"), ()))
-    assert g[root].data.free == {g.find(x)}
+    assert g[x].data.symbols == {"x"}
+    assert g[root].data.free == {"x"}
 
 
 def test_lambda_bound_var_removed():
@@ -255,4 +257,119 @@ def test_lambda_let_free_vars():
     g = lam_egraph()
     root = g.add_term(parse_term("(let x (var y) (var x))", LAMBDA))
     y = g.add(ENode(sym("y"), ()))
-    assert g[root].data.free == {g.find(y)}
+    assert g[y].data.symbols == {"y"}
+    assert g[root].data.free == {"y"}
+
+
+class CountingLam(LamAnalysis):
+    def __init__(self):
+        self.make_calls = 0
+
+    def make(self, egraph, node):
+        self.make_calls += 1
+        return super().make(egraph, node)
+
+
+def counting_lam_egraph():
+    analysis = CountingLam()
+    return EGraph(analysis), analysis
+
+
+def test_merge_of_equal_data_remakes_no_parent():
+    g, analysis = counting_lam_egraph()
+    a = g.add_term(parse_term("(+ (var x) (var y))", LAMBDA))
+    b = g.add_term(parse_term("(+ (var y) (var x))", LAMBDA))
+    pa = g.add_term(parse_term("(lam z (+ (var x) (var y)))", LAMBDA))
+    pb = g.add_term(parse_term("(lam z (+ (var y) (var x)))", LAMBDA))
+    assert g[a].data == g[b].data
+    before = analysis.make_calls
+    g.merge(a, b)
+    g.rebuild()
+    assert analysis.make_calls == before
+    assert g.equiv(pa, pb)
+    assert g.data_changed == set()
+    assert g.invariant_check() == []
+
+
+def test_follower_data_change_reaches_follower_parents():
+    # the leader (lower id, equal node count) already holds the join, so
+    # only the follower's data changes; its parents must still be re-made
+    g = lam_egraph()
+    leader = g.add_term(parse_term("(+ (var x) (var y))", LAMBDA))
+    follower = g.add_term(parse_term("(app (var x) 1)", LAMBDA))
+    parent = g.add_term(parse_term("(lam w (app (var x) 1))", LAMBDA))
+    assert g[parent].data.free == {"x"}
+    assert g.merge(leader, follower) == leader
+    g.rebuild()
+    assert g[parent].data.free == {"x", "y"}
+    assert g.invariant_check() == []
+
+
+def test_pending_remake_survives_a_merge_that_changes_nothing():
+    # the follower's data changed in a merge whose parents are not yet
+    # re-made; it then merges into a leader with equal data
+    g = lam_egraph()
+    leader = g.add_term(parse_term("(+ (var x) (var y))", LAMBDA))
+    g.merge(leader, g.add_term(parse_term("(+ (var y) (var x))", LAMBDA)))
+    g.rebuild()
+    follower = g.add_term(parse_term("(app (var x) 1)", LAMBDA))
+    parent = g.add_term(parse_term("(lam w (app (var x) 1))", LAMBDA))
+    g.merge(follower, g.add_term(parse_term("(app (var y) 1)", LAMBDA)))
+    assert g[follower].data == g[leader].data
+    assert g.merge(leader, follower) == leader
+    g.rebuild()
+    assert g[parent].data.free == {"x", "y"}
+    assert g.invariant_check() == []
+
+
+LAM_LEAVES = [sym("x"), sym("y"), sym("z"), num(1), num(2)]
+LAM_OPS = {"var": 1, "+": 2, "=": 2, "app": 2, "lam": 2, "fix": 2, "let": 3, "if": 3}
+
+
+def random_lambda_script(rng: random.Random, n_adds=30, n_merges=10):
+    """Random adds over the lambda language, with merges and rebuilds
+    interleaved; half the merges join two symbol classes."""
+    script = [("add", leaf, ()) for leaf in LAM_LEAVES]
+    for added in range(len(LAM_LEAVES), len(LAM_LEAVES) + n_adds):
+        op = rng.choice(sorted(LAM_OPS))
+        if op == "var" or (op in ("lam", "fix", "let") and rng.random() < 0.8):
+            first = rng.randrange(3)  # a symbol leaf
+        else:
+            first = rng.randrange(added)
+        rest = [rng.randrange(added) for _ in range(LAM_OPS[op] - 1)]
+        script.append(("add", op, (first, *rest)))
+        if rng.random() < n_merges / n_adds:
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(3), 2)
+            else:
+                i, j = rng.randrange(added + 1), rng.randrange(added + 1)
+            script.append(("merge", i, j))
+        if rng.random() < 0.2:
+            script.append(("rebuild",))
+    return script + [("rebuild",)]
+
+
+@pytest.mark.parametrize("eager", [False, True], ids=["deferred", "eager"])
+def test_lambda_analysis_invariant_checked_after_rebuild(eager):
+    rng = random.Random(22)
+    completed = symbol_merges = 0
+    for _ in range(40):
+        g = lam_egraph(rebuild_after_merge=eager)
+        ids: list[int] = []
+        try:
+            for step in random_lambda_script(rng):
+                if step[0] == "add":
+                    _, op, slots = step
+                    ids.append(g.add(ENode(op, tuple(ids[s] for s in slots))))
+                elif step[0] == "merge":
+                    symbol_merges += step[1] < 3 and step[2] < 3
+                    g.merge(ids[step[1]], ids[step[2]])
+                else:
+                    g.rebuild()
+                    assert g.invariant_check() == []
+                    assert g.data_changed == set()
+        except AnalysisContradiction:
+            # a random merge may equate two different constants
+            continue
+        completed += 1
+    assert completed >= 25 and symbol_merges >= 40

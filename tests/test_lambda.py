@@ -12,6 +12,7 @@ from eqsat import (
     sym,
 )
 from eqsat.language import Leaf
+from eqsat.rewrite import apply_rewrite
 from eqsat.domains.lam import (
     LAMBDA,
     eval_closed,
@@ -102,9 +103,6 @@ def test_free_vars_are_over_approximation():
     report = saturate("(let x (var y) (app (lam z (var z)) (+ (var x) 1)))")
     g = report.egraph
 
-    def symbol_class(name):
-        return g.find(g.add(ENode(sym(name), ())))
-
     def true_free(term: Term):
         def go(t):
             op = t.root_op
@@ -129,8 +127,7 @@ def test_free_vars_are_over_approximation():
     for class_id in list(g.classes):
         for sampled in enumerate_terms(g, class_id, depth=4)[:20]:
             names = true_free(sampled)
-            ids = {symbol_class(n) for n in names}
-            assert ids <= {g.find(f) for f in g[class_id].data.free}
+            assert names <= g[class_id].data.free
             checked += 1
     assert checked > 30
 
@@ -150,9 +147,9 @@ def test_beta_under_binder_with_capture_risk():
     text = "(app (lam x (lam y (+ (var x) (var y)))) (var y))"
     report = saturate(text)
     g = report.egraph
-    root_free = {g.find(f) for f in g[report.root_ids[0]].data.free}
+    root_free = g[report.root_ids[0]].data.free
     y = g.lookup(ENode(sym("y"), ()))
-    assert g.find(y) in root_free
+    assert y is not None and "y" in root_free
     # any lambda the root reduces to must not capture the free y: the class
     # must contain a lam whose binder is a fresh renamed symbol
     fresh = [
@@ -176,3 +173,75 @@ def test_saturation_under_default_limits_is_clean():
             StopReason.ITER_LIMIT,
             StopReason.NODE_LIMIT,
         )
+
+
+def merge_symbols(g, *names):
+    ids = [g.lookup(ENode(sym(name), ())) for name in names]
+    assert None not in ids
+    for other in ids[1:]:
+        g.merge(ids[0], other)
+    g.rebuild()
+
+
+def test_merged_symbol_binder_keeps_free_set_sound():
+    # once x and y share a class, (lam x (var y)) also represents
+    # (lam y (var y)) and (lam x (var y)); the binder removes nothing, so y
+    # stays in the over-approximation
+    g = make_egraph()
+    root = g.add_term(parse_term("(lam x (var y))", LAMBDA))
+    merge_symbols(g, "x", "y")
+    assert g.invariant_check() == []
+    assert "y" in g[root].data.free
+
+
+def test_merged_symbol_let_binder_keeps_free_set_sound():
+    g = make_egraph()
+    root = g.add_term(parse_term("(let x (var z) (var y))", LAMBDA))
+    merge_symbols(g, "x", "y")
+    assert g.invariant_check() == []
+    assert g[root].data.free == {"x", "y", "z"}
+
+
+def test_single_symbol_binder_still_binds():
+    # merging two symbols the binder does not name leaves the binder one
+    # name, which it still removes
+    g = make_egraph()
+    root = g.add_term(parse_term("(lam x (+ (var x) (var y)))", LAMBDA))
+    g.add(ENode(sym("z"), ()))
+    merge_symbols(g, "y", "z")
+    assert g.invariant_check() == []
+    assert g[root].data.free == {"y", "z"}
+
+
+def capture_renamed(g, class_id):
+    return [
+        node
+        for node in g[class_id].nodes
+        if node.op == "lam"
+        and any(
+            getattr(n.op, "kind", None) == "sym" and n.op.value.startswith("_")
+            for n in g[node.children[0]].nodes
+        )
+    ]
+
+
+def test_capture_avoidance_renames_under_merged_binder():
+    # the binder class holds y and w; w is free in the substituted
+    # expression, so pushing the let under the lam must rename the binder
+    g = make_egraph()
+    root = g.add_term(parse_term("(let a (var w) (lam y (var a)))", LAMBDA))
+    merge_symbols(g, "y", "w")
+    rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
+    assert apply_rewrite(g, rule, rule.search(g)) == 1
+    g.rebuild()
+    assert g.invariant_check() == []
+    assert capture_renamed(g, root)
+
+
+def test_capture_avoidance_skips_rename_when_binder_not_free():
+    g = make_egraph()
+    root = g.add_term(parse_term("(let a (var w) (lam y (var a)))", LAMBDA))
+    rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
+    assert apply_rewrite(g, rule, rule.search(g)) == 1
+    g.rebuild()
+    assert not capture_renamed(g, root)
