@@ -117,8 +117,7 @@ def simplify(expr, rules_name, lang_name, iters, nodes, time_ms, scheduler,
         click.echo(json.dumps(
             {
                 "schema": 1,
-                "stop_reason": report.stop_reason.value,
-                "iterations": [it.to_dict() for it in report.iterations],
+                **report.to_dict(),
                 "best": {"term": str(best), "cost": str(best_cost)},
             },
             sort_keys=True,
@@ -174,18 +173,24 @@ def check_equiv_cmd(lhs, rhs, rules_name, lang_name, iters, nodes, time_ms,
                 factory(), pairs, rules, config
             )
             iterations = [len(report.iterations)] * len(pairs)
+            reports = [report]
         else:
-            verdicts, iterations = [], []
+            verdicts, iterations, reports = [], [], []
             for a, b in pairs:
                 result = check_equiv(factory(), a, b, rules, config)
                 verdicts.append(result.equal)
                 iterations.append(result.iterations)
+                reports.append(result.report)
         results = [
             {"equal": bool(v), "iterations": n}
             for v, n in zip(verdicts, iterations)
         ]
         if as_json:
-            click.echo(json.dumps({"schema": 1, "results": results}, sort_keys=True))
+            click.echo(json.dumps(
+                {"schema": 1, "results": results,
+                 "runs": [r.to_dict() for r in reports]},
+                sort_keys=True,
+            ))
         else:
             for (a, b), entry in zip(pairs, results):
                 verdict = "equal" if entry["equal"] else "unknown"
@@ -201,6 +206,7 @@ def check_equiv_cmd(lhs, rhs, rules_name, lang_name, iters, nodes, time_ms,
             {
                 "schema": 1,
                 "results": [{"equal": result.equal, "iterations": result.iterations}],
+                "runs": [result.report.to_dict()],
             },
             sort_keys=True,
         ))

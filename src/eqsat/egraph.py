@@ -246,16 +246,21 @@ class EGraph:
 
         # hashcons fix-up: drop the stale key, install the canonical one
         parents = list(eclass.parents)
+        canonical = []
         for p_node, p_class in parents:
             self.hashcons.pop(p_node, None)
-            self.hashcons[self.canonicalize(p_node)] = find(p_class)
+            node = self.canonicalize(p_node)
+            self.hashcons[node] = find(p_class)
             self.hashcons_updates += 2
+            canonical.append(node)
 
         # deduplicate parents; congruent parents merge (upward merging),
-        # which pushes further worklist entries
+        # which pushes further worklist entries.  The fix-up's canonical
+        # nodes hold until a merge here makes a union.
         new_parents: dict[ENode, int] = {}
-        for p_node, p_class in parents:
-            p_node = self.canonicalize(p_node)
+        unions = self.union_count
+        for (p_node, p_class), node in zip(parents, canonical):
+            p_node = node if self.union_count == unions else self.canonicalize(p_node)
             seen = new_parents.get(p_node)
             if seen is not None:
                 self.merge(p_class, seen)

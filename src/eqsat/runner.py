@@ -4,7 +4,8 @@ Each iteration searches every (unbanned) rule against a clean graph,
 collects all matches, applies them in a write phase that may temporarily
 break invariants, and restores the invariants with a single rebuild.
 Splitting the phases makes the result invariant to rule order and lets the
-rebuild be deferred safely.
+rebuild be deferred safely.  A plain pattern rule's match whose canonical
+ids repeat an instance the run already applied is not applied again.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import Callable, Optional, Sequence
 from .analysis import AnalysisError
 from .egraph import EGraph
 from .language import Term
-from .rewrite import Rewrite, apply_rewrite
+from .pattern import SearchMatches
+from .rewrite import PatternApplier, Rewrite, apply_rewrite
 
 
 class StopReason(Enum):
@@ -100,19 +102,66 @@ class RunnerConfig:
 
 
 class RuleStats:
-    __slots__ = ("searched", "applied", "banned")
+    """Per rule, per iteration: the matches the scheduler kept
+    (``searched``), how many of them repeated an instance the run had
+    already applied and were not applied again (``skipped``), and how many
+    applied ones made a new union (``applied``)."""
 
-    def __init__(self, searched=0, applied=0, banned=False):
+    __slots__ = ("searched", "skipped", "applied", "banned")
+
+    def __init__(self, searched=0, applied=0, banned=False, skipped=0):
         self.searched = searched
+        self.skipped = skipped
         self.applied = applied
         self.banned = banned
 
     def to_dict(self):
         return {
             "searched": self.searched,
+            "skipped": self.skipped,
             "applied": self.applied,
             "banned": self.banned,
         }
+
+
+class _AppliedInstances:
+    """The instances a run has applied, per rule whose applier is exactly a
+    `PatternApplier`: ``(class id, *substitution ids)``, the ids in
+    variable-name order as ``ematch`` builds the substitutions.
+
+    The graph only grows and congruence holds at every clean point, so an
+    instance applied once has its right-hand side in the matched class
+    from then on; met again with the same canonical ids, it can add no node
+    and make no union.  A key made stale by a merge only misses.
+    Conditional and dynamic appliers are never skipped: a condition can
+    turn true, and a procedure can give a new answer, later."""
+
+    def __init__(self, rules: Sequence[Rewrite]):
+        self.seen = [
+            set() if type(rw.applier) is PatternApplier else None for rw in rules
+        ]
+
+    def fresh(self, index: int, matches: list[SearchMatches]):
+        """The matches of rule `index` not applied before, and how many
+        were left out."""
+        seen = self.seen[index]
+        if seen is None:
+            return matches, 0
+        kept, skipped = [], 0
+        for eclass, substs in matches:
+            new = [s for s in substs if (eclass, *s.values()) not in seen]
+            skipped += len(substs) - len(new)
+            if new:
+                kept.append(SearchMatches(eclass, new))
+        return kept, skipped
+
+    def record(self, index: int, matches: list[SearchMatches]) -> None:
+        """Call only once the matches have been passed to `apply_rewrite`."""
+        seen = self.seen[index]
+        if seen is not None:
+            seen.update(
+                (eclass, *s.values()) for eclass, substs in matches for s in substs
+            )
 
 
 @dataclass
@@ -155,6 +204,12 @@ class RunReport:
             st.applied for it in self.iterations for st in it.rules.values()
         )
 
+    def to_dict(self):
+        return {
+            "stop_reason": self.stop_reason.value,
+            "iterations": [it.to_dict() for it in self.iterations],
+        }
+
 
 @dataclass
 class RunnerState:
@@ -178,6 +233,7 @@ def run(
     """Add the roots (batch simplification takes several) and saturate."""
     config = config or RunnerConfig()
     scheduler = make_scheduler(config.scheduler)
+    applied_before = _AppliedInstances(rules)
     start = time.perf_counter()
 
     try:
@@ -213,16 +269,18 @@ def run(
         # read phase: collect matches for every rule before applying any
         search_start = time.perf_counter()
         collected = []
-        for rw in rules:
+        for index, rw in enumerate(rules):
+            st = stats[rw.name]
             if scheduler.banned(iteration, rw):
-                stats[rw.name].banned = True
+                st.banned = True
                 continue
             matches = rw.search(egraph)
-            matches, banned_now = scheduler.filter_matches(iteration, rw, matches)
-            stats[rw.name].banned = banned_now
-            stats[rw.name].searched = sum(len(m.substs) for m in matches)
+            # the scheduler sees every match; repeats are left out after it
+            matches, st.banned = scheduler.filter_matches(iteration, rw, matches)
+            st.searched = sum(len(m.substs) for m in matches)
+            matches, st.skipped = applied_before.fresh(index, matches)
             if matches:
-                collected.append((rw, matches))
+                collected.append((index, rw, matches))
         search_time = time.perf_counter() - search_start
 
         if time.perf_counter() - start > config.time_limit:
@@ -240,8 +298,9 @@ def run(
         hit_node_limit = False
         apply_start = time.perf_counter()
         try:
-            for rw, matches in collected:
+            for index, rw, matches in collected:
                 stats[rw.name].applied = apply_rewrite(egraph, rw, matches)
+                applied_before.record(index, matches)
                 if egraph.n_nodes() > config.node_limit:
                     hit_node_limit = True
                     break

@@ -414,3 +414,32 @@ def reference_cost_table(egraph: EGraph, cost_fn) -> dict:
                     table[class_id] = candidate
                     changed = True
     return {cid: (cost, node) for cid, (cost, _, node) in table.items()}
+
+
+def run_without_memo(egraph: EGraph, roots, rules, iter_limit: int, scheduler="every"):
+    """The saturation loop with nothing left out: every match the scheduler
+    keeps goes through `apply_rewrite`, every iteration, repeats included.
+    Same phases and stop test as `eqsat.run` without node, time or hook
+    limits; returns the root class ids."""
+    from eqsat.rewrite import apply_rewrite
+    from eqsat.runner import make_scheduler
+
+    scheduler = make_scheduler(scheduler)
+    root_ids = [egraph.add_term(t) for t in roots]
+    egraph.rebuild()
+    for iteration in range(iter_limit):
+        unions, nodes = egraph.union_count, egraph.n_nodes()
+        collected, any_banned = [], False
+        for rw in rules:
+            if scheduler.banned(iteration, rw):
+                any_banned = True
+                continue
+            matches, banned = scheduler.filter_matches(iteration, rw, rw.search(egraph))
+            any_banned = any_banned or banned
+            collected.append((rw, matches))
+        for rw, matches in collected:
+            apply_rewrite(egraph, rw, matches)
+        egraph.rebuild()
+        if egraph.union_count == unions and egraph.n_nodes() == nodes and not any_banned:
+            break
+    return root_ids

@@ -202,3 +202,27 @@ def test_bench_smoke(tmp_path):
     assert "geometric mean speedup" in result.output
     assert csv_path.read_text().startswith("workload,")
     assert jsonl_path.read_text().strip()
+
+
+def test_json_reports_skipped_repeats_per_rule(tmp_path):
+    doc = json.loads(invoke("simplify", "--rules", "math", "--json", "(* a b)").output)
+    rules = [st for it in doc["iterations"] for st in it["rules"].values()]
+    assert rules and all(
+        set(st) == {"searched", "skipped", "applied", "banned"} for st in rules
+    )
+    assert sum(st["skipped"] for st in rules) > 0
+
+    single = json.loads(invoke(
+        "check-equiv", "--rules", "math", "--json", "(* a b)", "(* b a)"
+    ).output)
+    assert [run["stop_reason"] for run in single["runs"]] == ["hook_stop"]
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("(+ a b) (+ b a)\n(* a b) (* b a)\n")
+    for batched, n_runs in (((), 2), (("--batched",), 1)):
+        doc = json.loads(invoke(
+            "check-equiv", "--rules", "math", "--pairs", str(pairs), "--json", *batched
+        ).output)
+        assert len(doc["runs"]) == n_runs
+        for run in doc["runs"]:
+            for it in run["iterations"]:
+                assert all("skipped" in st for st in it["rules"].values())

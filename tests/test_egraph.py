@@ -11,6 +11,7 @@ from helpers import (
     random_operations,
     run_script_on_egraph,
     run_script_on_oracle,
+    same_partition,
 )
 
 
@@ -197,6 +198,30 @@ def test_upward_merge_two_layers():
     assert g.find(fa) == g.find(fb)
     assert g.find(gfa) == g.find(gfb)
     assert g.invariant_check() == []
+
+
+def test_repair_recanonicalizes_parents_after_a_union_in_its_dedupe_loop():
+    # a's class holds f(b) once a and f(b) merge; merging a with b then
+    # makes the class cyclic (it holds f of itself).  Repairing it meets
+    # f(b) after f(a): folding X = f(a) into the class is an upward merge
+    # inside the dedupe loop, and it turns the later parent g(b, X) into
+    # g(a, a), congruent to the earlier parent g(a, a).
+    first = [("add", "a", ()), ("add", "b", ()), ("add", "f", (0,)),
+             ("add", "f", (1,)), ("merge", 0, 3)]
+    second = [("add", "g", (1, 2)), ("add", "g", (0, 0)), ("merge", 0, 1)]
+    g = EGraph()
+    ids = run_script_on_egraph(g, first)
+    g.rebuild()
+    run_script_on_egraph(g, second, ids)
+    p3, p4 = ids[4], ids[5]
+    g._repair(g.find(ids[0]))
+    assert g.equiv(p3, p4), "the repair itself must merge g(b, X) with g(a, a)"
+    g.rebuild()
+    assert g.invariant_check() == []
+    oracle = NaiveCongruence()
+    oracle_ids = run_script_on_oracle(oracle, first + second)
+    oracle.close()
+    assert same_partition(g.equiv, oracle.equiv, ids, oracle_ids)
 
 
 def test_fanout_deferred_hashcons_updates_linear():

@@ -11,10 +11,15 @@ from eqsat import (
     check_equiv,
     check_equiv_batched,
     extract_best,
+    parse_pattern,
     parse_term,
     run,
     sym,
 )
+import eqsat.rewrite as rewrite_module
+import eqsat.runner as runner_module
+from eqsat.bench import DEFAULT_MATH_EXPRS
+from eqsat.rewrite import DynamicApplier, PatternApplier
 from eqsat.runner import EveryRuleScheduler, RunnerState
 from eqsat.domains.math import (
     MATH,
@@ -22,6 +27,8 @@ from eqsat.domains.math import (
     math_rules,
     strength_reduction_rules,
 )
+
+from helpers import random_term, run_without_memo
 
 
 def term(text):
@@ -335,3 +342,168 @@ def test_limits_must_be_positive():
         RunnerConfig(iter_limit=0)
     with pytest.raises(ValueError):
         RunnerConfig(node_limit=-5)
+
+
+# ----------------------------------------------------------------------
+# repeated instances of plain pattern rules are not applied again
+
+
+def _memo_corpus():
+    rng = random.Random(41)
+    random_terms = [random_term(rng, MATH, 5, ("a", "b", "c", "d")) for _ in range(12)]
+    return [term(t) for t in DEFAULT_MATH_EXPRS] + random_terms
+
+
+@pytest.mark.parametrize("eager", [False, True], ids=["deferred", "eager"])
+@pytest.mark.parametrize("scheduler", ["every", "backoff"])
+def test_memo_leaves_the_graph_of_the_memo_free_loop(eager, scheduler):
+    skipped = 0
+    for t in _memo_corpus():
+        g = math_egraph(rebuild_after_merge=eager)
+        report = run(
+            g, [t], math_rules(),
+            RunnerConfig(iter_limit=8, node_limit=10**6, time_limit=600,
+                         scheduler=scheduler),
+        )
+        oracle = math_egraph(rebuild_after_merge=eager)
+        oracle_roots = run_without_memo(oracle, [t], math_rules(), 8, scheduler)
+        assert g.dump() == oracle.dump(), str(t)
+        assert report.root_ids == oracle_roots
+        skipped += sum(st.skipped for it in report.iterations for st in it.rules.values())
+    assert skipped > 0, "the corpus must repeat some instances"
+
+
+def _flag_present(egraph, eclass, subst):
+    return egraph.lookup(ENode(sym("flag"), ())) is not None
+
+
+def test_conditional_rule_fires_when_its_condition_turns_true_later():
+    # the guarded match (root, ?x=a, ?y=b) keeps its ids in every iteration;
+    # `flag` appears only in iteration 1's apply phase, after the guarded
+    # rule has run in it
+    guarded = Rewrite.parse(
+        "swap-if-flag", "(* ?x ?y)", "(* ?y ?x)", MATH, [_flag_present]
+    )
+    grow = Rewrite.parse("grow-a", "a", "(- a w)", MATH)
+    mark = Rewrite.parse("mark-w", "w", "(- w flag)", MATH)
+    g = math_egraph()
+    report = run(g, [term("(* a b)")], [guarded, grow, mark],
+                 RunnerConfig(scheduler="every", iter_limit=10))
+    fired = [it.index for it in report.iterations if it.rules["swap-if-flag"].applied]
+    assert fired == [2]
+    assert all(it.rules["swap-if-flag"].skipped == 0 for it in report.iterations)
+    swapped = g.lookup(ENode("*", (g.lookup(ENode(sym("b"), ())),
+                                   g.lookup(ENode(sym("a"), ())))))
+    assert swapped is not None and g.equiv(swapped, report.root_ids[0])
+
+
+def test_dynamic_applier_called_for_every_match_every_iteration():
+    calls = []
+    starts = []
+
+    def procedure(egraph, eclass, subst):
+        calls.append((eclass, tuple(sorted(subst.items()))))
+        return []
+
+    watch = Rewrite("watch-add", parse_pattern("(+ ?x ?y)", MATH), DynamicApplier(procedure))
+
+    def note_iteration(state):
+        starts.append(len(calls))
+        return False
+
+    report = run(
+        math_egraph(), [term("(/ (* (+ a b) 2) 2)")], math_rules() + [watch],
+        RunnerConfig(scheduler="every", iter_limit=5, hooks=(note_iteration,)),
+    )
+    starts.append(len(calls))
+    per_iteration = [b - a for a, b in zip(starts, starts[1:])]
+    searched = [it.rules["watch-add"].searched for it in report.iterations]
+    assert per_iteration[: len(searched)] == searched
+    assert len(set(calls)) < len(calls), "some matches must repeat"
+    assert all(it.rules["watch-add"].skipped == 0 for it in report.iterations)
+
+
+def _count_apply_subst(monkeypatch):
+    calls = []
+    inner = rewrite_module.apply_subst
+
+    def counted(pattern, subst, egraph):
+        calls.append((pattern, tuple(sorted(subst.items()))))
+        return inner(pattern, subst, egraph)
+
+    monkeypatch.setattr(rewrite_module, "apply_subst", counted)
+    return calls
+
+
+def test_repeated_instance_makes_no_apply_subst_call(monkeypatch):
+    calls = _count_apply_subst(monkeypatch)
+    comm = Rewrite.parse("mul-comm", "(* ?x ?y)", "(* ?y ?x)", MATH)
+    report = run(math_egraph(), [term("(* a b)")], [comm], RunnerConfig(scheduler="every"))
+    # iteration 0 applies (a, b); iteration 1 finds (a, b) again and (b, a)
+    assert [it.rules["mul-comm"].searched for it in report.iterations] == [1, 2]
+    assert [it.rules["mul-comm"].skipped for it in report.iterations] == [0, 1]
+    assert len(calls) == 2 and len(set(calls)) == 2
+
+    calls.clear()
+    run_without_memo(math_egraph(), [term("(* a b)")], [comm], 30)
+    assert len(calls) == 3
+
+
+def test_apply_subst_calls_are_the_matches_not_skipped(monkeypatch):
+    calls = _count_apply_subst(monkeypatch)
+    rules = math_rules()
+    report = run(
+        math_egraph(), [term("(/ (* (+ a b) 2) 2)")], rules,
+        RunnerConfig(scheduler="every", iter_limit=6, node_limit=10**6),
+    )
+    plain = {rw.name: rw.applier.pattern for rw in rules if type(rw.applier) is PatternApplier}
+    for name, pattern in plain.items():
+        kept = sum(
+            it.rules[name].searched - it.rules[name].skipped for it in report.iterations
+        )
+        assert sum(1 for p, _ in calls if p is pattern) == kept, name
+    assert sum(it.rules[n].skipped for it in report.iterations for n in plain) > 0
+
+
+def test_node_limit_stop_leaves_unapplied_instances_unrecorded(monkeypatch):
+    memos, fresh_by_rule, passed = [], {}, {}
+
+    class Watched(runner_module._AppliedInstances):
+        def __init__(self, rules):
+            super().__init__(rules)
+            memos.append(self)
+
+        def fresh(self, index, matches):
+            kept, skipped = super().fresh(index, matches)
+            fresh_by_rule[index] = kept  # the last iteration's survive
+            return kept, skipped
+
+    inner = runner_module.apply_rewrite
+
+    def recording(egraph, rewrite, matches):
+        passed.setdefault(id(rewrite), []).extend(matches)
+        return inner(egraph, rewrite, matches)
+
+    monkeypatch.setattr(runner_module, "_AppliedInstances", Watched)
+    monkeypatch.setattr(runner_module, "apply_rewrite", recording)
+    rules = math_rules()
+    report = run(
+        math_egraph(), [term("(/ (* (+ a b) 2) 2)")], rules,
+        RunnerConfig(node_limit=20, scheduler="every"),
+    )
+    assert report.stop_reason is StopReason.NODE_LIMIT
+    (memo,) = memos
+
+    def keys(matches):
+        return {(m.eclass, *s.values()) for m in matches for s in m.substs}
+
+    left_out = 0
+    for index, rw in enumerate(rules):
+        if memo.seen[index] is None:
+            continue
+        assert memo.seen[index] == keys(passed.get(id(rw), [])), rw.name
+        unapplied = keys(fresh_by_rule.get(index, [])) - keys(passed.get(id(rw), []))
+        assert not unapplied & memo.seen[index]
+        left_out += len(unapplied)
+    assert left_out > 0, "the stop must leave some kept instances unapplied"
+
