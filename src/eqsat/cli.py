@@ -4,7 +4,8 @@ Exit codes:
   0  success; `check-equiv`: every pair proved equal
   1  `check-equiv`: some pair left unknown (saturation cannot disprove)
   2  usage error or malformed input: a term, a line of the --pairs file,
-     a --pairs file with no pairs, or the rules file
+     a --pairs file with no pairs, a missing, unreadable or malformed
+     rules file, or a limit (--iters, --nodes, --time-ms) below 1
   3  analysis contradiction (the rules equate distinct constants)
 """
 from __future__ import annotations
@@ -41,8 +42,13 @@ def _load_setup(rules_name, lang_name, unsafe_math):
         lang, factory = lambda_domain.LAMBDA, lambda_domain.make_egraph
     else:
         lang, factory = math_domain.MATH, math_domain.make_egraph
-    with open(rules_name, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(rules_name, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        click.echo(f"rules error: cannot read {rules_name}: {reason}", err=True)
+        sys.exit(2)
     try:
         rules = parse_rules(text, lang)
     except LanguageError as exc:
@@ -52,6 +58,10 @@ def _load_setup(rules_name, lang_name, unsafe_math):
 
 
 def _config(iters, nodes, time_ms, scheduler):
+    for flag, value in (("--iters", iters), ("--nodes", nodes), ("--time-ms", time_ms)):
+        if value < 1:
+            click.echo(f"usage error: {flag} must be at least 1, got {value}", err=True)
+            sys.exit(2)
     return RunnerConfig(
         iter_limit=iters,
         node_limit=nodes,
@@ -102,13 +112,14 @@ def main():
 def simplify(expr, rules_name, lang_name, iters, nodes, time_ms, scheduler,
              unsafe_math, cost, as_json):
     """Saturate EXPR with the selected rules and print the cheapest form."""
+    config = _config(iters, nodes, time_ms, scheduler)
     lang, rules, factory = _load_setup(rules_name, lang_name, unsafe_math)
     try:
         term = parse_term(expr, lang)
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(2)
-    report = run(factory(), [term], rules, _config(iters, nodes, time_ms, scheduler))
+    report = run(factory(), [term], rules, config)
     if report.stop_reason is StopReason.ANALYSIS_CONTRADICTION:
         click.echo(f"analysis contradiction: {report.message}", err=True)
         sys.exit(3)
@@ -143,8 +154,8 @@ def check_equiv_cmd(lhs, rhs, rules_name, lang_name, iters, nodes, time_ms,
     Prints `equal` or `unknown`; saturation cannot disprove, so there is no
     `unequal` verdict.
     """
-    lang, rules, factory = _load_setup(rules_name, lang_name, unsafe_math)
     config = _config(iters, nodes, time_ms, scheduler)
+    lang, rules, factory = _load_setup(rules_name, lang_name, unsafe_math)
 
     def parse_or_die(text):
         try:

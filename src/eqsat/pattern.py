@@ -7,7 +7,9 @@ the pattern is represented there.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -175,16 +177,50 @@ def run_program(
     return results
 
 
+class Substitutions(Sequence):
+    """A read-only list of substitutions kept as the VM's id tuples: one
+    slot per name in `names`.  Reading an item builds its dict; ``len``
+    and the tuples themselves (`ids`) need none.  Compares equal to the
+    list of dicts it reads as."""
+
+    __slots__ = ("names", "ids")
+
+    def __init__(self, names: tuple[str, ...], ids: list[tuple[int, ...]]):
+        self.names = names
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        names = self.names
+        if isinstance(index, slice):
+            return [dict(zip(names, ids)) for ids in self.ids[index]]
+        return dict(zip(names, self.ids[index]))
+
+    def __iter__(self):
+        return map(dict, map(zip, repeat(self.names), self.ids))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Substitutions)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # like the list it stands for
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class SearchMatches(NamedTuple):
     """All substitutions under which a pattern matched one e-class."""
 
     eclass: int
-    substs: list[dict[str, int]]
+    substs: Substitutions
 
 
-def _substs(program: MatchProgram, matches: list[tuple[int, ...]]) -> list[dict]:
-    names = [name for name, _ in program.var_regs]
-    return [dict(zip(names, match)) for match in matches]
+def _var_names(program: MatchProgram) -> tuple[str, ...]:
+    return tuple([name for name, _ in program.var_regs])
 
 
 def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
@@ -199,8 +235,9 @@ def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
         candidates = sorted(egraph.classes)
     else:
         candidates = egraph.classes_with_op(root)  # ascending when clean
+    names = _var_names(program)
     return [
-        SearchMatches(class_id, _substs(program, matches))
+        SearchMatches(class_id, Substitutions(names, matches))
         for class_id, matches in run_program(egraph, program, candidates)
     ]
 
@@ -211,7 +248,7 @@ def match_in_class(egraph: EGraph, pattern: Pattern, class_id: int) -> list[dict
     egraph.require_clean("match_in_class")
     program = pattern.program
     found = run_program(egraph, program, [egraph.find(class_id)])
-    return _substs(program, found[0][1]) if found else []
+    return list(Substitutions(_var_names(program), found[0][1])) if found else []
 
 
 class UnboundVariable(KeyError):

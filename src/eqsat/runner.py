@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .analysis import AnalysisError
 from .egraph import EGraph
 from .language import Term
-from .pattern import SearchMatches
+from .pattern import SearchMatches, Substitutions
 from .rewrite import PatternApplier, Rewrite, apply_rewrite
 
 
@@ -126,8 +126,8 @@ class RuleStats:
 
 class _AppliedInstances:
     """The instances a run has applied, per rule whose applier is exactly a
-    `PatternApplier`: ``(class id, *substitution ids)``, the ids in
-    variable-name order as ``ematch`` builds the substitutions.
+    `PatternApplier`: ``(class id, *substitution ids)``, the ids read from
+    the `Substitutions` tuples (variable-name order), so no dict is built.
 
     The graph only grows and congruence holds at every clean point, so an
     instance applied once has its right-hand side in the matched class
@@ -149,10 +149,10 @@ class _AppliedInstances:
             return matches, 0
         kept, skipped = [], 0
         for eclass, substs in matches:
-            new = [s for s in substs if (eclass, *s.values()) not in seen]
+            new = [ids for ids in substs.ids if (eclass, *ids) not in seen]
             skipped += len(substs) - len(new)
             if new:
-                kept.append(SearchMatches(eclass, new))
+                kept.append(SearchMatches(eclass, Substitutions(substs.names, new)))
         return kept, skipped
 
     def record(self, index: int, matches: list[SearchMatches]) -> None:
@@ -160,7 +160,7 @@ class _AppliedInstances:
         seen = self.seen[index]
         if seen is not None:
             seen.update(
-                (eclass, *s.values()) for eclass, substs in matches for s in substs
+                (eclass, *ids) for eclass, substs in matches for ids in substs.ids
             )
 
 

@@ -167,6 +167,30 @@ def test_malformed_rules_file_is_exit_two(tmp_path):
             assert "line 1" in result.output
 
 
+def test_unreadable_rules_file_is_exit_two(tmp_path):
+    binary = tmp_path / "binary.rules"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path / "nosuchfile", tmp_path, binary):
+        for command in (("simplify", "a"), ("check-equiv", "a", "a")):
+            result = invoke(command[0], "--rules", str(path), *command[1:])
+            assert result.exit_code == 2, (path, command)
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            lines = result.output.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"rules error: cannot read {path}")
+
+
+def test_non_positive_limit_is_exit_two():
+    for flag in ("--iters", "--nodes", "--time-ms"):
+        for value in ("0", "-1"):
+            for command in (("simplify", "a"), ("check-equiv", "a", "a")):
+                result = invoke(command[0], "--rules", "math", flag, value, *command[1:])
+                assert result.exit_code == 2, (flag, value, command)
+                assert result.exception is None or isinstance(result.exception, SystemExit)
+                assert result.output.splitlines() == [
+                    f"usage error: {flag} must be at least 1, got {value}"
+                ]
+
+
 def test_rules_file_via_cli(tmp_path):
     rules = tmp_path / "my.rules"
     rules.write_text("swap: (+ ?a ?b) => (+ ?b ?a)\n")

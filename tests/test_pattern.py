@@ -67,6 +67,57 @@ def test_variable_pattern_matches_every_class():
         assert m.substs == [{"?x": m.eclass}]
 
 
+def test_substitutions_view_reads_as_the_list_of_dicts():
+    g = make_egraph()
+    root = parse_term("(+ (* a b) (+ (* b c) (* c a)))", MATH)
+    run(g, [root], math_rules(), RunnerConfig(iter_limit=3, scheduler="every"))
+    pattern = parse_pattern("(+ ?x (* ?y ?z))", MATH)
+    names = [name for name, _ in pattern.program.var_regs]
+    found = ematch(g, pattern)
+    vm = dict(pattern_module.run_program(g, pattern.program, [m.eclass for m in found]))
+    assert max(len(m.substs) for m in found) >= 3
+    for m in found:
+        substs = m.substs
+        expected = [dict(zip(names, ids)) for ids in vm[m.eclass]]
+        assert not isinstance(substs, list)
+        assert len(substs) == len(expected)
+        assert substs == expected and expected == substs
+        assert not substs != expected
+        assert substs != expected[:-1] and substs != expected + [{}]
+        assert substs != tuple(expected)  # a list of dicts is no tuple either
+        assert list(substs) == expected and [s for s in substs] == expected
+        for i in range(-len(expected), len(expected)):
+            assert substs[i] == expected[i]
+        for bad in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                substs[bad]
+        for cut in (slice(None, 2), slice(1, None), slice(None, None, -1), slice(5, 1)):
+            assert substs[cut] == expected[cut]
+            assert isinstance(substs[cut], list)
+        assert repr(substs) == repr(expected)
+        assert expected[-1] in substs and substs.index(expected[-1]) == len(expected) - 1
+        assert list(reversed(substs)) == expected[::-1]
+        with pytest.raises(TypeError):
+            hash(substs)
+        substs[0]["?x"] = -1  # every read builds a new dict
+        assert substs[0] == expected[0]
+
+
+def test_substitutions_view_iterates_without_indexing(monkeypatch):
+    g = EGraph()
+    two = g.add_term(parse_term("2", MATH))
+    product = g.add_term(parse_term("(* a 2)", MATH))
+    g.add_term(parse_term("(/ (* a 2) 2)", MATH))
+    (m,) = ematch(g, parse_pattern("(/ ?n ?d)", MATH))
+
+    def no_index(self, index):
+        raise AssertionError("iteration went through __getitem__")
+
+    monkeypatch.setattr(type(m.substs), "__getitem__", no_index)
+    assert list(m.substs) == [{"?d": two, "?n": product}]
+    assert len(m.substs) == 1
+
+
 def test_compile_variable_only_program_is_empty():
     program = compile_pattern(parse_pattern("?x", MATH))
     assert program.instructions == ()

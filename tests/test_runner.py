@@ -16,6 +16,7 @@ from eqsat import (
     run,
     sym,
 )
+import eqsat.pattern as pattern_module
 import eqsat.rewrite as rewrite_module
 import eqsat.runner as runner_module
 from eqsat.bench import DEFAULT_MATH_EXPRS
@@ -507,3 +508,58 @@ def test_node_limit_stop_leaves_unapplied_instances_unrecorded(monkeypatch):
         left_out += len(unapplied)
     assert left_out > 0, "the stop must leave some kept instances unapplied"
 
+
+def _count_substitution_dicts(monkeypatch):
+    """Swap in a `Substitutions` view that counts the dicts it builds."""
+    made = [0]
+
+    class Counted(pattern_module.Substitutions):
+        __slots__ = ()
+
+        def __getitem__(self, index):
+            item = super().__getitem__(index)
+            made[0] += len(item) if isinstance(index, slice) else 1
+            return item
+
+        def __iter__(self):
+            for subst in super().__iter__():
+                made[0] += 1
+                yield subst
+
+    monkeypatch.setattr(pattern_module, "Substitutions", Counted)
+    monkeypatch.setattr(runner_module, "Substitutions", Counted)
+    return made
+
+
+@pytest.mark.parametrize("scheduler", ["every", "backoff"])
+def test_substitution_dicts_are_made_only_for_applied_matches(monkeypatch, scheduler):
+    made = _count_substitution_dicts(monkeypatch)
+    found, passed = [0], [0]
+    search, apply = Rewrite.search, runner_module.apply_rewrite
+
+    def counting_search(rewrite, egraph):
+        matches = search(rewrite, egraph)
+        found[0] += sum(len(m.substs) for m in matches)
+        return matches
+
+    def counting_apply(egraph, rewrite, matches):
+        passed[0] += sum(len(m.substs) for m in matches)
+        return apply(egraph, rewrite, matches)
+
+    monkeypatch.setattr(Rewrite, "search", counting_search)
+    monkeypatch.setattr(runner_module, "apply_rewrite", counting_apply)
+    banned = skipped = 0
+    for text in DEFAULT_MATH_EXPRS:
+        report = run(
+            math_egraph(), [term(text)], math_rules(),
+            RunnerConfig(iter_limit=8, node_limit=10**6, time_limit=600,
+                         scheduler=scheduler),
+        )
+        stats = [st for it in report.iterations for st in it.rules.values()]
+        banned += sum(st.banned for st in stats)
+        skipped += sum(st.skipped for st in stats)
+    assert made[0] == passed[0] > 0
+    assert skipped > 0
+    # what a ban drops is neither applied nor skipped, and builds no dict
+    dropped = found[0] - passed[0] - skipped
+    assert (banned > 0) == (dropped > 0) == (scheduler == "backoff")
