@@ -106,8 +106,8 @@ class BenchMismatch(Exception):
 @dataclass
 class Workload:
     name: str
-    # run(strategy) -> (egraph, root_ids, iterations, rewrites, repairs,
-    #                   congruence_s, total_s, series)
+    # run(strategy) -> (egraph, root_ids, series), where series holds one
+    # (cumulative rewrites, congruence seconds) pair per iteration
     run: Callable[[RebuildStrategy], tuple]
     # "direct" add/merge scripts stress one asymptotic effect;
     # "saturation" workloads are full equality saturation runs
@@ -117,24 +117,12 @@ class Workload:
 def _run_direct(build: Callable[[EGraph], tuple], strategy: RebuildStrategy):
     """Direct add/merge scripts: the merge block is the congruence phase."""
     egraph = EGraph(rebuild_after_merge=strategy is RebuildStrategy.IMMEDIATE)
-    start = time.perf_counter()
     root_ids, merges = build(egraph)
     merge_start = time.perf_counter()
     for a, b in merges:
         egraph.merge(a, b)
     egraph.rebuild()
-    end = time.perf_counter()
-    congruence = end - merge_start
-    return (
-        egraph,
-        root_ids,
-        1,
-        len(merges),
-        egraph.repair_calls,
-        congruence,
-        end - start,
-        [(len(merges), congruence)],
-    )
+    return egraph, root_ids, [(len(merges), time.perf_counter() - merge_start)]
 
 
 def parent_fanout_workload(n: int) -> Workload:
@@ -201,26 +189,13 @@ def saturation_workload(name: str, expr_text: str, iter_limit: int = 8) -> Workl
             iter_limit=iter_limit, node_limit=50_000, time_limit=60.0,
             scheduler="every",
         )
-        start = time.perf_counter()
         report = run(egraph, [term], math_domain.math_rules(), config)
-        total = time.perf_counter() - start
         series = []
         cumulative = 0
-        congruence = 0.0
         for it in report.iterations:
             cumulative += sum(st.applied for st in it.rules.values())
-            congruence += it.apply_time + it.rebuild_time
             series.append((cumulative, it.apply_time + it.rebuild_time))
-        return (
-            egraph,
-            report.root_ids,
-            len(report.iterations),
-            cumulative,
-            egraph.repair_calls,
-            congruence,
-            total,
-            series,
-        )
+        return egraph, report.root_ids, series
 
     return Workload(name, run_strategy, kind="saturation")
 
@@ -252,21 +227,25 @@ def run_workload(
     workload: Workload, strategy: RebuildStrategy, repeats: int = 5
 ) -> BenchRecord:
     """Counters come from a single run (they are exactly reproducible);
-    wall-clock times are medians over the repeats."""
-    results = [workload.run(strategy) for _ in range(max(1, repeats))]
-    egraph, root_ids, iters, rewrites, repairs, _, _, series = results[0]
-    congruence = sorted(r[5] for r in results)[len(results) // 2]
-    total = sorted(r[6] for r in results)[len(results) // 2]
+    wall-clock times are medians over the repeats.  ``total_s`` times the
+    whole ``workload.run`` call; ``congruence_s`` sums its series."""
+    results, totals = [], []
+    for _ in range(max(1, repeats)):
+        start = time.perf_counter()
+        results.append(workload.run(strategy))
+        totals.append(time.perf_counter() - start)
+    congruences = [sum(seconds for _, seconds in series) for _, _, series in results]
+    egraph, root_ids, series = results[0]
     extractor = Extractor(egraph)
     roots_best = tuple(str(extractor.best(r)[0]) for r in root_ids)
     return BenchRecord(
         workload=workload.name,
         strategy=strategy.value,
-        iterations=iters,
-        rewrites=rewrites,
-        repairs=repairs,
-        congruence_s=congruence,
-        total_s=total,
+        iterations=len(series),
+        rewrites=series[-1][0] if series else 0,
+        repairs=egraph.repair_calls,
+        congruence_s=sorted(congruences)[len(results) // 2],
+        total_s=sorted(totals)[len(results) // 2],
         enodes=egraph.n_nodes(),
         eclasses=egraph.n_classes(),
         series=series,
@@ -363,12 +342,10 @@ def speedup_report(records: Sequence[BenchRecord]) -> dict:
             deferred, immediate = pair["deferred"], pair["immediate"]
             denom = max(deferred.congruence_s, 1e-9)
             speedups[name] = immediate.congruence_s / denom
-            cumulative = 0.0
             points = []
             for (rewrites, d_time), (_, i_time) in zip(
                 deferred.series, immediate.series
             ):
-                cumulative += d_time
                 points.append(
                     {
                         "cumulative_rewrites": rewrites,
@@ -393,16 +370,12 @@ def speedup_report(records: Sequence[BenchRecord]) -> dict:
     }
 
 
-def write_csv(records: Sequence[BenchRecord], stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
+def records_to_csv(records: Sequence[BenchRecord]) -> str:
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
     writer.writeheader()
     for record in records:
         writer.writerow(record.csv_row())
-
-
-def records_to_csv(records: Sequence[BenchRecord]) -> str:
-    buffer = io.StringIO()
-    write_csv(records, buffer)
     return buffer.getvalue()
 
 

@@ -4,9 +4,11 @@ Exit codes:
   0  success; `check-equiv`: every pair proved equal
   1  `check-equiv`: some pair left unknown (saturation cannot disprove)
   2  usage error or malformed input: a term, a line of the --pairs file,
-     a --pairs file with no pairs, a missing, unreadable or malformed
-     rules file, or a limit (--iters, --nodes, --time-ms) below 1
-  3  analysis contradiction (the rules equate distinct constants)
+     an unreadable --pairs file or one with no pairs, LHS and RHS given
+     with --pairs or not both given without it, a missing, unreadable or
+     malformed rules file, or a limit (--iters, --nodes, --time-ms) below 1
+  3  analysis contradiction (the rules equate distinct constants), in
+     `simplify` or in any run of `check-equiv`
 """
 from __future__ import annotations
 
@@ -42,19 +44,38 @@ def _load_setup(rules_name, lang_name, unsafe_math):
         lang, factory = lambda_domain.LAMBDA, lambda_domain.make_egraph
     else:
         lang, factory = math_domain.MATH, math_domain.make_egraph
-    try:
-        with open(rules_name, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        click.echo(f"rules error: cannot read {rules_name}: {reason}", err=True)
-        sys.exit(2)
+    text = _read_or_exit(rules_name, "rules")
     try:
         rules = parse_rules(text, lang)
     except LanguageError as exc:
         click.echo(f"rules error: {exc}", err=True)
         sys.exit(2)
     return lang, rules, factory
+
+
+def _read_or_exit(path, what):
+    """The text of a user-named file, or exit 2 with one line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        click.echo(f"{what} error: cannot read {path}: {reason}", err=True)
+        sys.exit(2)
+
+
+def _parse_or_exit(text, lang):
+    try:
+        return parse_term(text, lang)
+    except ParseError as exc:
+        click.echo(f"parse error: {exc}", err=True)
+        sys.exit(2)
+
+
+def _exit_on_contradiction(report):
+    if report.stop_reason is StopReason.ANALYSIS_CONTRADICTION:
+        click.echo(f"analysis contradiction: {report.message}", err=True)
+        sys.exit(3)
 
 
 def _config(iters, nodes, time_ms, scheduler):
@@ -114,15 +135,8 @@ def simplify(expr, rules_name, lang_name, iters, nodes, time_ms, scheduler,
     """Saturate EXPR with the selected rules and print the cheapest form."""
     config = _config(iters, nodes, time_ms, scheduler)
     lang, rules, factory = _load_setup(rules_name, lang_name, unsafe_math)
-    try:
-        term = parse_term(expr, lang)
-    except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(2)
-    report = run(factory(), [term], rules, config)
-    if report.stop_reason is StopReason.ANALYSIS_CONTRADICTION:
-        click.echo(f"analysis contradiction: {report.message}", err=True)
-        sys.exit(3)
+    report = run(factory(), [_parse_or_exit(expr, lang)], rules, config)
+    _exit_on_contradiction(report)
     best, best_cost = Extractor(report.egraph, COSTS[cost]).best(report.root_ids[0])
     if as_json:
         click.echo(json.dumps(
@@ -156,75 +170,58 @@ def check_equiv_cmd(lhs, rhs, rules_name, lang_name, iters, nodes, time_ms,
     """
     config = _config(iters, nodes, time_ms, scheduler)
     lang, rules, factory = _load_setup(rules_name, lang_name, unsafe_math)
-
-    def parse_or_die(text):
-        try:
-            return parse_term(text, lang)
-        except ParseError as exc:
-            click.echo(f"parse error: {exc}", err=True)
-            sys.exit(2)
-
-    if pairs_file:
-        pairs = []
-        with open(pairs_file, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    pairs.append(read_pair(line, lang))
-                except ParseError as exc:
-                    click.echo(f"parse error: {exc} (line {lineno})", err=True)
-                    sys.exit(2)
-        if not pairs:
-            click.echo(f"no pairs in {pairs_file}", err=True)
-            sys.exit(2)
-        if batched:
-            verdicts, report = check_equiv_batched(
-                factory(), pairs, rules, config
-            )
-            iterations = [len(report.iterations)] * len(pairs)
-            reports = [report]
-        else:
-            verdicts, iterations, reports = [], [], []
-            for a, b in pairs:
-                result = check_equiv(factory(), a, b, rules, config)
-                verdicts.append(result.equal)
-                iterations.append(result.iterations)
-                reports.append(result.report)
-        results = [
-            {"equal": bool(v), "iterations": n}
-            for v, n in zip(verdicts, iterations)
-        ]
-        if as_json:
-            click.echo(json.dumps(
-                {"schema": 1, "results": results,
-                 "runs": [r.to_dict() for r in reports]},
-                sort_keys=True,
-            ))
-        else:
-            for (a, b), entry in zip(pairs, results):
-                verdict = "equal" if entry["equal"] else "unknown"
-                click.echo(f"{verdict}\t{a}\t{b}")
-        sys.exit(0 if all(v["equal"] for v in results) else 1)
-
-    if lhs is None or rhs is None:
+    terms = [t for t in (lhs, rhs) if t is not None]
+    if len(terms) != (0 if pairs_file else 2):
         click.echo("provide LHS and RHS, or --pairs FILE", err=True)
         sys.exit(2)
-    result = check_equiv(factory(), parse_or_die(lhs), parse_or_die(rhs), rules, config)
+    if pairs_file:
+        pairs = _read_pairs(pairs_file, lang)
+    else:
+        pairs = [(_parse_or_exit(lhs, lang), _parse_or_exit(rhs, lang))]
+    if batched:
+        verdicts, report = check_equiv_batched(factory(), pairs, rules, config)
+        runs = [report]
+        results = [(equal, len(report.iterations)) for equal in verdicts]
+    else:
+        checked = [check_equiv(factory(), a, b, rules, config) for a, b in pairs]
+        runs = [result.report for result in checked]
+        results = [(result.equal, result.iterations) for result in checked]
+    for report in runs:
+        _exit_on_contradiction(report)
     if as_json:
         click.echo(json.dumps(
             {
                 "schema": 1,
-                "results": [{"equal": result.equal, "iterations": result.iterations}],
-                "runs": [result.report.to_dict()],
+                "results": [{"equal": e, "iterations": n} for e, n in results],
+                "runs": [report.to_dict() for report in runs],
             },
             sort_keys=True,
         ))
+    elif pairs_file:
+        for (a, b), (equal, _) in zip(pairs, results):
+            click.echo(f"{'equal' if equal else 'unknown'}\t{a}\t{b}")
     else:
-        verdict = "equal" if result.equal else "unknown"
-        click.echo(f"{verdict} (iterations: {result.iterations})")
-    sys.exit(0 if result.equal else 1)
+        equal, n = results[0]
+        click.echo(f"{'equal' if equal else 'unknown'} (iterations: {n})")
+    sys.exit(0 if all(equal for equal, _ in results) else 1)
+
+
+def _read_pairs(path, lang) -> list[tuple[Term, Term]]:
+    """The pairs of a --pairs file, or exit 2 with one line."""
+    pairs = []
+    for lineno, raw in enumerate(_read_or_exit(path, "pairs").split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            pairs.append(read_pair(line, lang))
+        except ParseError as exc:
+            click.echo(f"parse error: {exc} (line {lineno})", err=True)
+            sys.exit(2)
+    if not pairs:
+        click.echo(f"no pairs in {path}", err=True)
+        sys.exit(2)
+    return pairs
 
 
 def read_pair(line: str, lang) -> tuple[Term, Term]:
@@ -251,7 +248,7 @@ def bench_cmd(csv_path, jsonl_path, repeats):
     records = bench_module.run_bench(repeats=repeats)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            bench_module.write_csv(records, handle)
+            handle.write(bench_module.records_to_csv(records))
     if jsonl_path:
         with open(jsonl_path, "w", encoding="utf-8") as handle:
             handle.write(bench_module.records_to_jsonl(records))

@@ -10,7 +10,7 @@ ids repeat an instance the run already applied is not applied again.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -101,27 +101,20 @@ class RunnerConfig:
             raise ValueError("runner limits must be strictly positive")
 
 
+@dataclass(slots=True)
 class RuleStats:
     """Per rule, per iteration: the matches the scheduler kept
     (``searched``), how many of them repeated an instance the run had
     already applied and were not applied again (``skipped``), and how many
     applied ones made a new union (``applied``)."""
 
-    __slots__ = ("searched", "skipped", "applied", "banned")
-
-    def __init__(self, searched=0, applied=0, banned=False, skipped=0):
-        self.searched = searched
-        self.skipped = skipped
-        self.applied = applied
-        self.banned = banned
+    searched: int = 0
+    skipped: int = 0
+    applied: int = 0
+    banned: bool = False
 
     def to_dict(self):
-        return {
-            "searched": self.searched,
-            "skipped": self.skipped,
-            "applied": self.applied,
-            "banned": self.banned,
-        }
+        return asdict(self)
 
 
 class _AppliedInstances:
@@ -177,17 +170,9 @@ class IterationReport:
     stop_reason: Optional[StopReason] = None
 
     def to_dict(self):
-        return {
-            "index": self.index,
-            "rules": {name: st.to_dict() for name, st in sorted(self.rules.items())},
-            "enodes": self.enodes,
-            "eclasses": self.eclasses,
-            "search_time": self.search_time,
-            "apply_time": self.apply_time,
-            "rebuild_time": self.rebuild_time,
-            "repair_calls": self.repair_calls,
-            "stop_reason": self.stop_reason.value if self.stop_reason else None,
-        }
+        report = asdict(self)
+        report["stop_reason"] = self.stop_reason.value if self.stop_reason else None
+        return report
 
 
 @dataclass
@@ -283,36 +268,30 @@ def run(
                 collected.append((index, rw, matches))
         search_time = time.perf_counter() - search_start
 
-        if time.perf_counter() - start > config.time_limit:
-            iterations.append(
-                IterationReport(
-                    iteration, stats, egraph.n_nodes(), egraph.n_classes(),
-                    search_time, 0.0, 0.0, 0,
-                )
-            )
-            stop_reason = StopReason.TIME_LIMIT
-            break
-
-        # write phase, then one rebuild to restore the invariants
+        # write phase, then one rebuild to restore the invariants; an
+        # iteration out of time after its search reports no write phase
         repairs_before = egraph.repair_calls
         hit_node_limit = False
-        apply_start = time.perf_counter()
-        try:
-            for index, rw, matches in collected:
-                stats[rw.name].applied = apply_rewrite(egraph, rw, matches)
-                applied_before.record(index, matches)
-                if egraph.n_nodes() > config.node_limit:
-                    hit_node_limit = True
-                    break
-            apply_time = time.perf_counter() - apply_start
-            rebuild_start = time.perf_counter()
-            egraph.rebuild()
-            rebuild_time = time.perf_counter() - rebuild_start
-        except AnalysisError as exc:
-            stop_reason = StopReason.ANALYSIS_CONTRADICTION
-            message = str(exc)
-            apply_time = time.perf_counter() - apply_start
-            rebuild_time = 0.0
+        apply_time = rebuild_time = 0.0
+        if time.perf_counter() - start > config.time_limit:
+            stop_reason = StopReason.TIME_LIMIT
+        else:
+            apply_start = time.perf_counter()
+            try:
+                for index, rw, matches in collected:
+                    stats[rw.name].applied = apply_rewrite(egraph, rw, matches)
+                    applied_before.record(index, matches)
+                    if egraph.n_nodes() > config.node_limit:
+                        hit_node_limit = True
+                        break
+                apply_time = time.perf_counter() - apply_start
+                rebuild_start = time.perf_counter()
+                egraph.rebuild()
+                rebuild_time = time.perf_counter() - rebuild_start
+            except AnalysisError as exc:
+                stop_reason = StopReason.ANALYSIS_CONTRADICTION
+                message = str(exc)
+                apply_time = time.perf_counter() - apply_start
 
         iterations.append(
             IterationReport(
@@ -380,18 +359,16 @@ def check_equiv_batched(
     config = config or RunnerConfig()
 
     def all_unified(state: RunnerState) -> bool:
-        ids = state.root_ids
-        find = state.egraph.find
-        return all(find(ids[i]) == find(ids[i + 1]) for i in range(0, len(ids), 2))
+        return all(_pair_verdicts(state.egraph, state.root_ids))
 
     batched = replace(config, hooks=tuple(config.hooks) + (all_unified,))
     roots = [t for pair in pairs for t in pair]
     report = run(egraph, roots, rules, batched)
-    verdicts = []
-    if report.root_ids:
-        find = report.egraph.find
-        ids = report.root_ids
-        verdicts = [
-            find(ids[i]) == find(ids[i + 1]) for i in range(0, len(ids), 2)
-        ]
-    return verdicts, report
+    return _pair_verdicts(report.egraph, report.root_ids), report
+
+
+def _pair_verdicts(egraph: EGraph, root_ids: list[int]) -> list[bool]:
+    """Whether each pair of roots (``root_ids[2i]``, ``root_ids[2i+1]``)
+    shares a class; no verdicts when no roots were added."""
+    find = egraph.find
+    return [find(root_ids[i]) == find(root_ids[i + 1]) for i in range(0, len(root_ids), 2)]

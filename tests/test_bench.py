@@ -126,7 +126,7 @@ def test_strategy_mismatch_is_hard_failure():
         if strategy is RebuildStrategy.IMMEDIATE:
             g.merge(a[0], a[1])
         g.rebuild()
-        return (g, [a[0]], 1, 0, g.repair_calls, 0.0, 0.0, [])
+        return g, [a[0]], [(0, 0.0)]
 
     with pytest.raises(BenchMismatch) as err:
         run_bench([Workload("fake", fake_run)], repeats=1)

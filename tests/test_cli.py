@@ -250,3 +250,80 @@ def test_json_reports_skipped_repeats_per_rule(tmp_path):
         for run in doc["runs"]:
             for it in run["iterations"]:
                 assert all("skipped" in st for st in it["rules"].values())
+
+
+def test_check_equiv_contradiction_is_exit_three(tmp_path):
+    rules = tmp_path / "bad.rules"
+    rules.write_text("bad: 1 => 2\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("(+ a b) (+ b a)\n(+ a 1) (+ a 2)\n")
+    for args in (
+        ("(+ a 1)", "(+ a 2)"),
+        ("--json", "(+ a 1)", "(+ a 2)"),
+        ("--batched", "(+ a 1)", "(+ a 2)"),
+        ("--pairs", str(pairs)),
+        ("--pairs", str(pairs), "--batched", "--json"),
+    ):
+        result = invoke("check-equiv", "--rules", str(rules), "--lang", "math", *args)
+        assert result.exit_code == 3, args
+        assert result.stdout == "", args
+        assert result.output.splitlines() == [
+            "analysis contradiction: conflicting constants: 1 vs 2"
+        ], args
+
+
+def test_unreadable_pairs_file_is_exit_two(tmp_path):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary):
+        for batched in ((), ("--batched",)):
+            result = invoke("check-equiv", "--rules", "math", "--pairs", str(path), *batched)
+            assert result.exit_code == 2, (path, batched)
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            lines = result.output.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"pairs error: cannot read {path}")
+
+
+def test_terms_with_pairs_file_is_exit_two(tmp_path):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("(+ a b) (+ b a)\n")
+    for terms in (("a", "a"), ("a",)):
+        result = invoke("check-equiv", "--rules", "math", "--pairs", str(pairs), *terms)
+        assert result.exit_code == 2, terms
+        assert result.output.splitlines() == ["provide LHS and RHS, or --pairs FILE"]
+
+
+def test_single_pair_and_one_line_pairs_file_report_alike(tmp_path):
+    def strip(doc):
+        for run in doc["runs"]:
+            for it in run["iterations"]:
+                for key in ("search_time", "apply_time", "rebuild_time"):
+                    it.pop(key)
+        return doc
+
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("(+ a (+ b (+ c d))) (+ (+ d c) (+ b a))\n")
+    docs = [
+        strip(json.loads(invoke("check-equiv", "--rules", "math", "--json", *args).output))
+        for batched in ((), ("--batched",))
+        for args in (
+            (*batched, "(+ a (+ b (+ c d)))", "(+ (+ d c) (+ b a))"),
+            (*batched, "--pairs", str(pairs)),
+        )
+    ]
+    assert [r["equal"] for r in docs[0]["results"]] == [True]
+    assert all(doc == docs[0] for doc in docs[1:])
+
+
+def test_simplify_json_key_set():
+    doc = json.loads(invoke("simplify", "--rules", "math", "--json", "(* 1 (+ a b))").output)
+    assert set(doc) == {"schema", "stop_reason", "iterations", "best"}
+    assert doc["iterations"]
+    for it in doc["iterations"]:
+        assert set(it) == {
+            "index", "rules", "enodes", "eclasses", "search_time", "apply_time",
+            "rebuild_time", "repair_calls", "stop_reason",
+        }
+        assert it["rules"]
+        for stats in it["rules"].values():
+            assert set(stats) == {"searched", "skipped", "applied", "banned"}

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -103,6 +104,27 @@ def test_time_limit_stops():
         RunnerConfig(time_limit=0.001, node_limit=10**9, iter_limit=10**6),
     )
     assert report.stop_reason is StopReason.TIME_LIMIT
+
+
+def test_time_out_after_search_reports_no_write_phase():
+    class SlowScheduler(EveryRuleScheduler):
+        def filter_matches(self, iteration, rewrite, matches):
+            time.sleep(0.1)
+            return matches, False
+
+    g = math_egraph()
+    report = run(
+        g, [term("(+ a b)")], math_rules(),
+        RunnerConfig(time_limit=0.05, scheduler=SlowScheduler()),
+    )
+    assert report.stop_reason is StopReason.TIME_LIMIT
+    [it] = report.iterations
+    assert it.stop_reason is StopReason.TIME_LIMIT
+    assert it.search_time > 0.05
+    assert (it.apply_time, it.rebuild_time, it.repair_calls) == (0.0, 0.0, 0)
+    assert sum(st.searched for st in it.rules.values()) > 0
+    assert sum(st.applied for st in it.rules.values()) == 0
+    assert (it.enodes, it.eclasses) == (g.n_nodes(), g.n_classes()) == (3, 3)
 
 
 def test_hook_stops_run():
