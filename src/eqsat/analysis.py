@@ -6,12 +6,13 @@ that restores congruence: when classes merge their data is joined, and when
 a class's data changes its parents are re-made and re-joined.  Parents of a
 class whose data did not change are not re-made.
 
-Hook contract:
+Hook contract (rebuild calls these three hooks and no others):
   * ``make(egraph, node)`` is pure and monotone: its result is a function of
-    the node's operator and its children's data alone.  It stores no class
-    id (beyond the node's own children) and reads nothing else of the
-    graph, so a merge that leaves a child's data equal leaves every parent's
-    ``make`` equal too.
+    the node's operator and its children's data alone.  The data names no
+    node and no class id, and ``make`` reads nothing else of the graph, so
+    a merge that leaves a child's data equal leaves every parent's ``make``
+    equal too, and no merge can leave data stale.  Every shipped analysis
+    keeps to this: constants, free-variable names, minimum costs.
   * Data is compared with ``==``: a merge re-makes the parents of a side
     whose data differs from the joined data.
   * ``join(into, other)`` is the semilattice join, directional: it returns
@@ -68,11 +69,8 @@ class Analysis:
         pass
 
     def canonical_data(self, egraph, class_id, data):
-        """Re-express data whose representation names a node, whose child
-        ids may have been merged away (``MinCostExtraction`` keeps its
-        cheapest node); called once per class at the end of every rebuild.
-        Must not change anything ``make`` reads.  Data that names no node
-        needs no override."""
+        """Never called by eqsat; kept only for the benchmark's tracer,
+        which wraps it, until that wrapper goes (ROADMAP item 1)."""
         return data
 
     def show(self, data) -> str:

@@ -24,15 +24,14 @@ class ENode(NamedTuple):
     children: tuple[int, ...]
 
 
-# Kind tags order operator strings before leaves so mixed classes sort stably.
-_LEAF_KIND_TAG = {"num": 1, "bool": 2, "sym": 3}
-
-
 def enode_sort_key(node: ENode):
+    """The one node order: operators before leaves, then operator name or
+    leaf kind and value, then child ids.  Its first three fields are the op
+    part of a term's structural order, which extraction uses."""
     op = node.op
     if isinstance(op, Leaf):
         value = int(op.value) if op.kind == "bool" else op.value
-        return (_LEAF_KIND_TAG[op.kind], str(op.kind), value, node.children)
+        return (1, op.kind, value, node.children)
     return (0, op, 0, node.children)
 
 
@@ -303,8 +302,8 @@ class EGraph:
         n_nodes = 0
         hashcons: dict[ENode, int] = {}
         op_index: dict[Op, list[int]] = {}
-        for class_id in sorted(self.classes):
-            eclass = self.classes[class_id]
+        # only add inserts classes, with fresh ids, so the map ascends
+        for class_id, eclass in self.classes.items():
             canon = sorted(
                 {self.canonicalize(n) for n in eclass.nodes}, key=enode_sort_key
             )
@@ -318,9 +317,6 @@ class EGraph:
         self._n_nodes = n_nodes
         self.hashcons = hashcons
         self._op_index = op_index
-        for class_id in sorted(self.classes):
-            eclass = self.classes[class_id]
-            eclass.data = self.analysis.canonical_data(self, class_id, eclass.data)
         self.clean = True
 
     # ------------------------------------------------------------------
@@ -350,6 +346,28 @@ class EGraph:
                         f"congruence violation: {canon} in classes {prior} and {class_id}"
                     )
                 owner[canon] = class_id
+
+        # what the class pass builds and what queries rely on
+        ids, ascending = list(self.classes), sorted(self.classes)
+        if ids != ascending:
+            violations.append("class map ids do not ascend")
+        n_nodes = sum(len(eclass.nodes) for eclass in self.classes.values())
+        if self._n_nodes != n_nodes:
+            violations.append(f"n_nodes() is {self._n_nodes}, classes hold {n_nodes}")
+        op_index: dict[Op, list[int]] = {}
+        for class_id in ascending:
+            for op in dict.fromkeys(n.op for n in self.classes[class_id].nodes):
+                op_index.setdefault(op, []).append(class_id)
+        for op in {**op_index, **self._op_index}:
+            bucket, expected = self._op_index.get(op, []), op_index.get(op, [])
+            if bucket != expected:
+                violations.append(
+                    f"op index for {op!r} is {bucket}, expected {expected}"
+                )
+        if self.data_changed:
+            violations.append(
+                f"classes {sorted(self.data_changed)} still owe their parents a re-make"
+            )
 
         for node, target in self.hashcons.items():
             if self.canonicalize(node) != node:

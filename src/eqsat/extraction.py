@@ -2,17 +2,17 @@
 
 A cost function maps (node, child costs) to a cost; locality is what lets a
 bottom-up fixpoint find the per-class minimum.  The same computation can be
-maintained incrementally as an e-class analysis whose join keeps the
-cheaper (node, cost) tuple.
+maintained incrementally as an e-class analysis whose data is the cost
+and whose join keeps the lower one.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .analysis import Analysis
 from .egraph import EGraph, ENode, enode_sort_key
-from .language import Leaf, Term
+from .language import Term
 
 
 def _finite(cost) -> bool:
@@ -84,14 +84,6 @@ def build_cost_table(egraph: EGraph, cost_fn: CostFunction = ast_size) -> dict:
     return {cid: (cost, node) for cid, (cost, _, node) in table.items()}
 
 
-def _op_key(op):
-    """The op part of a term's structural sort key: operators before
-    leaves, then by operator name or by leaf kind and value."""
-    if isinstance(op, Leaf):
-        return (1, op.kind, int(op.value) if op.kind == "bool" else op.value)
-    return (0, op, 0)
-
-
 class Extractor:
     """Cost table plus a canonical minimal term per class.
 
@@ -136,14 +128,15 @@ class Extractor:
     def _precedes(self, a: ENode, b: ENode) -> bool:
         """Is the term a node extracts to structurally less than b's?
 
-        Terms compare as nested (op key, child keys) tuples.  In a clean
+        Terms compare as nested (op key, child keys) tuples, the op key
+        being the first three fields of ``enode_sort_key``.  In a clean
         graph distinct classes never represent the same term, so equal
         child ids mean equal subterms and the walk descends only into the
         first child pair whose ids differ.
         """
         chosen = self.chosen
         while a != b:
-            key_a, key_b = _op_key(a.op), _op_key(b.op)
+            key_a, key_b = enode_sort_key(a)[:3], enode_sort_key(b)[:3]
             if key_a != key_b:
                 return key_a < key_b
             for x, y in zip(a.children, b.children):
@@ -198,73 +191,43 @@ def extract_best(
 
 
 class MinCostExtraction(Analysis):
-    """Extraction as an e-class analysis: data is the (cost, node) tuple of
-    the cheapest known e-node; join keeps the lower cost."""
+    """Extraction as an e-class analysis: data is the least cost of a term
+    the class represents; join keeps the lower cost."""
 
     def __init__(self, cost_fn: CostFunction = ast_size):
         self.cost_fn = cost_fn
 
-    def entry_for(self, node: ENode, child_entries: Sequence[tuple]):
-        cost = self.cost_fn(node, [entry[0] for entry in child_entries])
-        return (cost, node)
-
     def make(self, egraph, node):
-        return self.entry_for(node, [egraph[c].data for c in node.children])
+        return self.cost_fn(node, [egraph[c].data for c in node.children])
 
     def join(self, into, other):
-        if into is None:
-            return other, other is not None
-        if other is None:
-            return into, False
-        into_key = (into[0], enode_sort_key(into[1]))
-        other_key = (other[0], enode_sort_key(other[1]))
-        return (other, True) if other_key < into_key else (into, False)
-
-    def canonical_data(self, egraph, class_id, data):
-        """The stored witness node can hold merged-away child ids; re-pick
-        the least node among those achieving the converged cost."""
-        if data is None:
-            return None
-        cost = data[0]
-        best = None
-        for node in egraph.classes[class_id].nodes:
-            kids = []
-            for child in node.children:
-                entry = egraph.classes.get(egraph.find(child))
-                if entry is None or entry.data is None:
-                    break
-                kids.append(entry.data[0])
-            else:
-                if self.cost_fn(node, kids) == cost:
-                    key = enode_sort_key(node)
-                    if best is None or key < best[0]:
-                        best = (key, node)
-        return data if best is None else (cost, best[1])
+        return (other, True) if other < into else (into, False)
 
     def show(self, data):
-        return "none" if data is None else f"cost={data[0]}"
+        return f"cost={data}"
 
 
 def extract_as_analysis(egraph: EGraph, cost_fn: CostFunction = ast_size) -> dict:
-    """Per-class (cost, node) table computed through the analysis hooks
-    (entry construction plus semilattice join) instead of the sweep in
-    build_cost_table; the two must agree."""
+    """Per-class (cost, node) table by chaotic iteration: every node's
+    entry is joined into its class, keeping the lower (cost, node sort key),
+    until nothing changes.  An independent check of build_cost_table's
+    ordered sweeps; the two must agree."""
     egraph.require_clean("extract_as_analysis")
-    analysis = MinCostExtraction(cost_fn)
-    entries: dict[int, Optional[tuple]] = {cid: None for cid in egraph.classes}
+    entries: dict[int, tuple] = {}
     changed = True
     while changed:
         changed = False
         for class_id, eclass in egraph.classes.items():
             for node in eclass.nodes:
-                kids = [entries[c] for c in node.children]
-                if any(k is None for k in kids):
+                kids = [entries.get(c) for c in node.children]
+                if None in kids:
                     continue
-                candidate = analysis.entry_for(node, kids)
-                if not _finite(candidate[0]):
+                cost = cost_fn(node, [kid[0] for kid in kids])
+                if not _finite(cost):
                     continue
-                joined, did_change = analysis.join(entries[class_id], candidate)
-                if did_change:
-                    entries[class_id] = joined
+                entry = entries.get(class_id)
+                key = (cost, enode_sort_key(node))
+                if entry is None or key < (entry[0], enode_sort_key(entry[1])):
+                    entries[class_id] = (cost, node)
                     changed = True
-    return {cid: entry for cid, entry in entries.items() if entry is not None}
+    return entries

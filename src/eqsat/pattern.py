@@ -232,7 +232,7 @@ def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
     program = pattern.program
     root = pattern.nodes[-1][0]
     if is_var(root):
-        candidates = sorted(egraph.classes)
+        candidates = egraph.class_ids()  # the class map ascends
     else:
         candidates = egraph.classes_with_op(root)  # ascending when clean
     names = _var_names(program)

@@ -373,3 +373,32 @@ def test_lambda_analysis_invariant_checked_after_rebuild(eager):
             continue
         completed += 1
     assert completed >= 25 and symbol_merges >= 40
+
+
+class _HookRecorder:
+    """Delegates every attribute to a real analysis and records its name."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.called = set()
+
+    def __getattr__(self, name):
+        self.called.add(name)
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize("eager", [False, True], ids=["deferred", "eager"])
+def test_rebuild_calls_only_make_join_and_modify(eager):
+    from eqsat.domains.math import MathFolding
+
+    recorder = _HookRecorder(MathFolding())
+    g = EGraph(recorder, rebuild_after_merge=eager)
+    x = g.add_term(parse_term("x", MATH))
+    y = g.add_term(parse_term("y", MATH))
+    g.add_term(parse_term("(+ x 1)", MATH))
+    g.add_term(parse_term("(* (+ y 1) 2)", MATH))
+    g.merge(x, g.add_term(parse_term("2", MATH)))  # x's data changes
+    g.merge(x, y)  # congruence: (+ x 1) = (+ y 1)
+    g.rebuild()
+    assert g.clean and g[y].data == 2
+    assert recorder.called == {"make", "join", "modify"}

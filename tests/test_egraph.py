@@ -1,9 +1,11 @@
+import copy
 import random
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
-from eqsat import EGraph, ENode, num, parse_term, sym
+from eqsat import EGraph, ENode, boolean, num, parse_term, sym
+from eqsat.egraph import enode_sort_key
 from eqsat.domains.math import MATH, make_egraph as math_egraph
 
 from helpers import (
@@ -295,6 +297,59 @@ def test_invariant_check_reports_congruence_violation():
     assert any("congruence" in v for v in violations)
     g.rebuild()
     assert g.invariant_check() == []
+
+
+def _damaged_copy(damage):
+    """A clean graph and a deep copy of it with `damage` applied."""
+    g = math_egraph()
+    root = g.add_term(parse_term("(+ (+ a 2) (+ b 2))", MATH))
+    g.merge(g.lookup(ENode(sym("a"), ())), g.lookup(ENode(sym("b"), ())))
+    g.rebuild()
+    assert g.invariant_check() == []
+    damaged = copy.deepcopy(g)
+    damage(damaged, damaged.find(root))
+    return damaged.invariant_check()
+
+
+def test_invariant_check_reports_wrong_op_index():
+    def drop_root(g, root):
+        g.classes_with_op("+").remove(root)
+
+    def descend(g, root):
+        g.classes_with_op("+").reverse()  # two classes: (+ a 2) and the root
+
+    assert any("op index for '+'" in v for v in _damaged_copy(drop_root))
+    assert any("op index for '+'" in v for v in _damaged_copy(descend))
+
+
+def test_invariant_check_reports_wrong_node_count():
+    def miscount(g, root):
+        g._n_nodes += 1
+
+    assert any("n_nodes()" in v for v in _damaged_copy(miscount))
+
+
+def test_invariant_check_reports_class_map_out_of_order():
+    def reorder(g, root):
+        g.classes = dict(reversed(list(g.classes.items())))
+
+    assert "class map ids do not ascend" in _damaged_copy(reorder)
+
+
+def test_invariant_check_reports_pending_data_change():
+    def mark(g, root):
+        g.data_changed.add(root)
+
+    assert any("owe their parents a re-make" in v for v in _damaged_copy(mark))
+
+
+def test_enode_sort_key_orders_bool_then_num_then_sym_leaves():
+    nodes = [ENode(sym("a"), ()), ENode(num(0), ()), ENode(boolean(True), ()),
+             ENode("+", (0, 1))]
+    ordered = sorted(nodes, key=enode_sort_key)
+    assert [n.op.kind if n.children == () else n.op for n in ordered] == [
+        "+", "bool", "num", "sym"
+    ]
 
 
 @pytest.mark.parametrize("eager", [False, True], ids=["deferred", "eager"])

@@ -144,18 +144,19 @@ def test_cost_table_is_one_sweep_when_ids_follow_structure():
 
 def test_min_cost_join_keeps_cheaper():
     analysis = MinCostExtraction(ast_size)
-    n1, n2 = ENode(sym("a"), ()), ENode("+", (0, 1))
-    joined, changed = analysis.join((3, n1), (5, n2))
-    assert joined == (3, n1) and not changed
-    joined, changed = analysis.join((5, n2), (3, n1))
-    assert joined == (3, n1) and changed
+    assert analysis.join(3, 5) == (3, False)
+    assert analysis.join(5, 3) == (3, True)
+    assert analysis.join(3, 3) == (3, False)
 
 
-def test_min_cost_tie_break_structural():
-    analysis = MinCostExtraction(ast_size)
-    plus, minus = ENode("+", (0, 1)), ENode("-", (0, 1))
-    joined, _ = analysis.join((3, minus), (3, plus))
-    assert joined == (3, plus)  # '+' sorts before '-'
+def test_extract_as_analysis_tie_break_structural():
+    g = EGraph()
+    minus = g.add_term(parse_term("(- a b)", MATH))
+    plus = g.add_term(parse_term("(+ a b)", MATH))
+    root = g.merge(minus, plus)
+    g.rebuild()
+    cost, node = extract_as_analysis(g, ast_size)[g.find(root)]
+    assert cost == 3 and node.op == "+"  # '+' sorts before '-'
 
 
 def test_incremental_analysis_equals_batch_fixpoint():
@@ -175,8 +176,7 @@ def test_incremental_analysis_equals_batch_fixpoint():
         assert g.invariant_check() == []
         table = build_cost_table(g, ast_size)
         for cid, eclass in g.classes.items():
-            assert eclass.data[0] == table[cid][0]
-            assert eclass.data[1] == table[cid][1]
+            assert eclass.data == table[cid][0]
 
 
 def test_extraction_requires_clean_graph():
