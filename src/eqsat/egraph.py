@@ -45,10 +45,9 @@ class EClass:
     analysis data.  ``parents`` records every e-node that has this class as
     a child together with the class that e-node belongs to."""
 
-    __slots__ = ("id", "nodes", "parents", "data")
+    __slots__ = ("nodes", "parents", "data")
 
-    def __init__(self, class_id: int, nodes: list[ENode], data=None):
-        self.id = class_id
+    def __init__(self, nodes: list[ENode], data=None):
         self.nodes = nodes
         self.parents: list[tuple[ENode, int]] = []
         self.data = data
@@ -167,7 +166,7 @@ class EGraph:
         if existing is not None:
             return self.uf.find(existing)
         class_id = self.uf.make_set()
-        eclass = EClass(class_id, [node])
+        eclass = EClass([node])
         self.classes[class_id] = eclass
         for child in dict.fromkeys(node.children):
             self.classes[child].parents.append((node, class_id))
@@ -243,27 +242,20 @@ class EGraph:
         eclass = self.classes[class_id]
         find = self.uf.find
 
-        # hashcons fix-up: drop the stale key, install the canonical one
+        # per parent: drop its stale hashcons key, install the canonical
+        # one, and merge it with an earlier parent of the same canonical
+        # form (upward merging), which pushes further worklist entries
         parents = list(eclass.parents)
-        canonical = []
+        new_parents: dict[ENode, int] = {}
         for p_node, p_class in parents:
             self.hashcons.pop(p_node, None)
             node = self.canonicalize(p_node)
             self.hashcons[node] = find(p_class)
             self.hashcons_updates += 2
-            canonical.append(node)
-
-        # deduplicate parents; congruent parents merge (upward merging),
-        # which pushes further worklist entries.  The fix-up's canonical
-        # nodes hold until a merge here makes a union.
-        new_parents: dict[ENode, int] = {}
-        unions = self.union_count
-        for (p_node, p_class), node in zip(parents, canonical):
-            p_node = node if self.union_count == unions else self.canonicalize(p_node)
-            seen = new_parents.get(p_node)
+            seen = new_parents.get(node)
             if seen is not None:
                 self.merge(p_class, seen)
-            new_parents[p_node] = find(p_class)
+            new_parents[node] = find(p_class)
         # merges above may have folded another class into this one (cycles),
         # appending parents beyond the snapshot, or merged this class away
         # entirely; either way the class is back on the worklist, so keep

@@ -43,45 +43,40 @@ class ExtractionError(Exception):
 
 
 def build_cost_table(egraph: EGraph, cost_fn: CostFunction = ast_size) -> dict:
-    """Fixpoint over all classes: per canonical class the (cost, node) pair
-    of its cheapest e-node; ties break on the node's structural sort key so
-    the table is deterministic.
+    """Fixpoint over all classes: per canonical class the least cost of a
+    term it represents.  Which node achieves it is ``Extractor``'s choice.
 
-    A sweep visits classes in id order.  When a class's entry improves, its
+    A sweep visits classes in id order.  When a class's cost falls, its
     parents that this sweep has passed or will not reach are swept again,
-    until a sweep improves nothing: an acyclic graph whose ids follow its
+    until a sweep lowers nothing: an acyclic graph whose ids follow its
     structure takes one sweep."""
     egraph.require_clean("build_cost_table")
     classes, find = egraph.classes, egraph.uf.find
-    table: dict[int, tuple] = {}
+    costs: dict[int, object] = {}
     sweep, members = list(classes), classes.keys()  # class map ids ascend
     while sweep:
         again: set[int] = set()
         for class_id in sweep:
             eclass = classes[class_id]
-            before = best = table.get(class_id)
+            before = best = costs.get(class_id)
             for node in eclass.nodes:
                 kids = []
                 for child in node.children:
-                    entry = table.get(child)
-                    if entry is None:
+                    kid = costs.get(child)
+                    if kid is None:
                         break
-                    kids.append(entry[0])
+                    kids.append(kid)
                 else:
                     cost = cost_fn(node, kids)
-                    if not _finite(cost):
-                        continue
-                    candidate = (cost, enode_sort_key(node), node)
-                    if best is None or candidate[:2] < best[:2]:
-                        best = candidate
-                        table[class_id] = candidate
-            if best is not before:
+                    if _finite(cost) and (best is None or cost < best):
+                        best = costs[class_id] = cost
+            if best != before:
                 for _, parent in eclass.parents:
                     parent = find(parent)
                     if parent <= class_id or parent not in members:
                         again.add(parent)
         sweep, members = sorted(again), again
-    return {cid: (cost, node) for cid, (cost, _, node) in table.items()}
+    return costs
 
 
 class Extractor:
@@ -96,8 +91,7 @@ class Extractor:
     def __init__(self, egraph: EGraph, cost_fn: CostFunction = ast_size):
         self.egraph = egraph
         self.cost_fn = cost_fn
-        self.table = build_cost_table(egraph, cost_fn)
-        self.costs = {cid: entry[0] for cid, entry in self.table.items()}
+        self.costs = build_cost_table(egraph, cost_fn)
         self.chosen: dict[int, ENode] = {}
         self._terms: dict[int, Term] = {}
         self._choose_nodes()
@@ -206,28 +200,3 @@ class MinCostExtraction(Analysis):
     def show(self, data):
         return f"cost={data}"
 
-
-def extract_as_analysis(egraph: EGraph, cost_fn: CostFunction = ast_size) -> dict:
-    """Per-class (cost, node) table by chaotic iteration: every node's
-    entry is joined into its class, keeping the lower (cost, node sort key),
-    until nothing changes.  An independent check of build_cost_table's
-    ordered sweeps; the two must agree."""
-    egraph.require_clean("extract_as_analysis")
-    entries: dict[int, tuple] = {}
-    changed = True
-    while changed:
-        changed = False
-        for class_id, eclass in egraph.classes.items():
-            for node in eclass.nodes:
-                kids = [entries.get(c) for c in node.children]
-                if None in kids:
-                    continue
-                cost = cost_fn(node, [kid[0] for kid in kids])
-                if not _finite(cost):
-                    continue
-                entry = entries.get(class_id)
-                key = (cost, enode_sort_key(node))
-                if entry is None or key < (entry[0], enode_sort_key(entry[1])):
-                    entries[class_id] = (cost, node)
-                    changed = True
-    return entries

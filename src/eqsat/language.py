@@ -85,12 +85,6 @@ class LanguageDef:
         self.operators = ops
         self.leaf_kinds = frozenset(self.leaf_kinds)
 
-    def arity(self, op: str) -> Optional[int]:
-        try:
-            return self.operators[op]
-        except KeyError:
-            raise UnknownOperatorError(f"unknown operator {op!r}") from None
-
 
 @dataclass(frozen=True)
 class Term:
@@ -116,10 +110,6 @@ class Term:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @property
-    def root(self) -> tuple[Op, tuple[int, ...]]:
-        return self.nodes[-1]
 
     @property
     def root_op(self) -> Op:

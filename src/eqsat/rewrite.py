@@ -265,13 +265,19 @@ def _parse_rule(line: str, lang: LanguageDef) -> Rewrite:
 
 def parse_rules(text: str, lang: LanguageDef) -> list[Rewrite]:
     """Rules from rules-file text; any error is a RewriteError naming its line."""
-    rules = []
+    rules, first_line = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            rules.append(_parse_rule(line, lang))
+            rule = _parse_rule(line, lang)
         except LanguageError as exc:
             raise RewriteError(f"line {lineno}: {exc}") from exc
+        first = first_line.setdefault(rule.name, lineno)
+        if first != lineno:
+            raise RewriteError(
+                f"line {lineno}: duplicate rule name {rule.name!r} (first on line {first})"
+            )
+        rules.append(rule)
     return rules

@@ -113,9 +113,6 @@ class RuleStats:
     applied: int = 0
     banned: bool = False
 
-    def to_dict(self):
-        return asdict(self)
-
 
 class _AppliedInstances:
     """The instances a run has applied, per rule whose applier is exactly a
@@ -217,6 +214,10 @@ def run(
 ) -> RunReport:
     """Add the roots (batch simplification takes several) and saturate."""
     config = config or RunnerConfig()
+    names = [rw.name for rw in rules]
+    if len(set(names)) != len(names):
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ValueError(f"duplicate rule name {dup!r}")  # stats and bans key on it
     scheduler = make_scheduler(config.scheduler)
     applied_before = _AppliedInstances(rules)
     start = time.perf_counter()

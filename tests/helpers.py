@@ -12,7 +12,6 @@ import sys
 from fractions import Fraction
 
 from eqsat import EGraph, ENode, Leaf, Term, build_cost_table, num, sym
-from eqsat.egraph import enode_sort_key
 from eqsat.language import leaf_to_str
 
 
@@ -367,7 +366,7 @@ def oracle_extracted_terms(egraph: EGraph, cost_fn) -> dict[int, Term]:
     class map (a class is settled in the first sweep in which some
     minimum-cost node has all its children settled).  The costs come from
     build_cost_table; only the choice among minimum-cost nodes is redone."""
-    costs = {cid: entry[0] for cid, entry in build_cost_table(egraph, cost_fn).items()}
+    costs = build_cost_table(egraph, cost_fn)
     terms: dict[int, Term] = {}
     progress = True
     while progress:
@@ -394,26 +393,24 @@ def oracle_extracted_terms(egraph: EGraph, cost_fn) -> dict[int, Term]:
 
 
 def reference_cost_table(egraph: EGraph, cost_fn) -> dict:
-    """Per class the least (cost, sort key) node, by full sweeps over the
-    class map until one changes nothing: the reference for
+    """Per class the least cost of a represented term, by full sweeps over
+    the class map until one changes nothing: the reference for
     build_cost_table, which sweeps only classes whose children changed."""
-    table: dict[int, tuple] = {}
+    costs: dict = {}
     changed = True
     while changed:
         changed = False
         for class_id, eclass in egraph.classes.items():
             for node in eclass.nodes:
-                if not all(c in table for c in node.children):
+                if not all(c in costs for c in node.children):
                     continue
-                cost = cost_fn(node, [table[c][0] for c in node.children])
+                cost = cost_fn(node, [costs[c] for c in node.children])
                 if cost == float("inf"):
                     continue
-                candidate = (cost, enode_sort_key(node), node)
-                best = table.get(class_id)
-                if best is None or candidate[:2] < best[:2]:
-                    table[class_id] = candidate
+                if class_id not in costs or cost < costs[class_id]:
+                    costs[class_id] = cost
                     changed = True
-    return {cid: (cost, node) for cid, (cost, _, node) in table.items()}
+    return costs
 
 
 def run_without_memo(egraph: EGraph, roots, rules, iter_limit: int, scheduler="every"):

@@ -14,10 +14,10 @@ from eqsat import (
     EGraph,
     RunnerConfig,
     StopReason,
+    ast_size,
     build_cost_table,
     check_equiv,
     check_equiv_batched,
-    extract_as_analysis,
     extract_best,
     match_in_class,
     parse_pattern,
@@ -44,8 +44,10 @@ from eqsat.domains.math import (
 from helpers import (
     NaiveCongruence,
     min_size_by_depth,
+    oracle_extracted_terms,
     random_operations,
     random_small_egraph,
+    reference_cost_table,
     run_script_on_egraph,
     run_script_on_oracle,
 )
@@ -289,14 +291,11 @@ def test_criterion_9_extraction_oracle():
         if egraph.n_nodes() > 30:
             continue
         checked += 1
-        table = build_cost_table(egraph)
-        analysis_table = extract_as_analysis(egraph)
-        assert set(table) == set(analysis_table)
-        for class_id in table:
-            assert table[class_id][0] == analysis_table[class_id][0]
-            assert table[class_id][1] == analysis_table[class_id][1]
+        assert build_cost_table(egraph) == reference_cost_table(egraph, ast_size)
+        oracle_terms = oracle_extracted_terms(egraph, ast_size)
         for root in roots:
             term, cost = extract_best(egraph, root)
+            assert term == oracle_terms[egraph.find(root)]
             oracle = min_size_by_depth(egraph, root, depth=6)
             assert oracle == cost, f"extractor {cost}, oracle {oracle}"
 

@@ -167,6 +167,17 @@ def test_malformed_rules_file_is_exit_two(tmp_path):
             assert "line 1" in result.output
 
 
+def test_duplicate_rule_name_is_exit_two(tmp_path):
+    rules = tmp_path / "dup.rules"
+    rules.write_text("r: (+ ?a ?b) => (+ ?b ?a)\nr: (* ?a ?b) => (* ?b ?a)\n")
+    for command in (("simplify", "--json", "(+ (* a b) c)"), ("check-equiv", "a", "a")):
+        result = invoke(command[0], "--rules", str(rules), "--lang", "math", *command[1:])
+        assert result.exit_code == 2, command
+        assert result.output.splitlines() == [
+            "rules error: line 2: duplicate rule name 'r' (first on line 1)"
+        ]
+
+
 def test_unreadable_rules_file_is_exit_two(tmp_path):
     binary = tmp_path / "binary.rules"
     binary.write_bytes(b"\xff\xfe\x00")

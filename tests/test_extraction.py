@@ -12,7 +12,6 @@ from eqsat import (
     ast_depth,
     ast_size,
     build_cost_table,
-    extract_as_analysis,
     extract_best,
     num,
     parse_term,
@@ -100,18 +99,6 @@ def test_extract_optimal_vs_depth_bounded_oracle():
             assert oracle == cost, f"extractor {cost} vs oracle {oracle}"
 
 
-def test_extract_as_analysis_matches_extract_best():
-    rng = random.Random(31)
-    for _ in range(40):
-        g, _ = random_small_egraph(rng, MATH)
-        table = build_cost_table(g, ast_size)
-        by_analysis = extract_as_analysis(g, ast_size)
-        assert set(table) == set(by_analysis)
-        for cid in table:
-            assert table[cid][0] == by_analysis[cid][0]
-            assert table[cid][1] == by_analysis[cid][1]
-
-
 @pytest.mark.parametrize(
     "cost_fn",
     [ast_size, ast_depth, weighted_ast_size({"*": 0, "+": 0}, default=2),
@@ -120,8 +107,7 @@ def test_extract_as_analysis_matches_extract_best():
 )
 def test_cost_table_matches_full_sweeps_on_merged_graphs(cost_fn):
     # many merges leave cycles and parents with lower ids than their
-    # children, so classes need more than one sweep; under all-zero costs
-    # the sort key decides, and a node whose child is its own class wins
+    # children, so classes need more than one sweep
     rng = random.Random(97)
     for _ in range(60):
         g, _ = random_small_egraph(rng, MATH, n_terms=6, n_merges=10)
@@ -149,14 +135,19 @@ def test_min_cost_join_keeps_cheaper():
     assert analysis.join(3, 3) == (3, False)
 
 
-def test_extract_as_analysis_tie_break_structural():
-    g = EGraph()
-    minus = g.add_term(parse_term("(- a b)", MATH))
-    plus = g.add_term(parse_term("(+ a b)", MATH))
-    root = g.merge(minus, plus)
-    g.rebuild()
-    cost, node = extract_as_analysis(g, ast_size)[g.find(root)]
-    assert cost == 3 and node.op == "+"  # '+' sorts before '-'
+def test_cost_table_holds_costs_and_best_breaks_ties_structurally():
+    # the table names no node; among minimum-cost nodes the extracted term
+    # is the structurally least, whichever was added first
+    for first, second in [("(- a b)", "(+ a b)"), ("(+ b a)", "(+ a b)"),
+                          ("(+ a b)", "(+ b a)")]:
+        g = EGraph()
+        one = g.add_term(parse_term(first, MATH))
+        two = g.add_term(parse_term(second, MATH))
+        root = g.merge(one, two)
+        g.rebuild()
+        assert build_cost_table(g)[g.find(root)] == 3
+        term, cost = extract_best(g, root)
+        assert (str(term), cost) == ("(+ a b)", 3)  # '+' sorts before '-'
 
 
 def test_incremental_analysis_equals_batch_fixpoint():
@@ -176,7 +167,7 @@ def test_incremental_analysis_equals_batch_fixpoint():
         assert g.invariant_check() == []
         table = build_cost_table(g, ast_size)
         for cid, eclass in g.classes.items():
-            assert eclass.data == table[cid][0]
+            assert eclass.data == table[cid]
 
 
 def test_extraction_requires_clean_graph():
@@ -245,7 +236,7 @@ def graph_with_equal_cost_alternatives(rng: random.Random) -> EGraph:
             ids.append(g.add(ENode(op, (rng.choice(ids), rng.choice(ids)))))
         g.rebuild()
         by_cost: dict = {}
-        for cid, (cost, _) in build_cost_table(g, ast_size).items():
+        for cid, cost in build_cost_table(g, ast_size).items():
             by_cost.setdefault(cost, []).append(cid)
         for same in by_cost.values():
             if len(same) >= 2 and rng.random() < 0.6:

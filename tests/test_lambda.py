@@ -1,8 +1,14 @@
+import random
+import re
+
 from eqsat import (
     ENode,
+    Extractor,
     RunnerConfig,
     StopReason,
     Term,
+    ast_depth,
+    ast_size,
     extract_best,
     match_in_class,
     num,
@@ -245,3 +251,72 @@ def test_capture_avoidance_skips_rename_when_binder_not_free():
     assert apply_rewrite(g, rule, rule.search(g)) == 1
     g.rebuild()
     assert not capture_renamed(g, root)
+
+
+# ----------------------------------------------------------------------
+# soundness fuzz: saturation keeps a closed program's value
+
+
+def random_closed_program(rng: random.Random, depth: int) -> str:
+    """A closed, well-typed program of type int or bool over let, lam,
+    app, if, + and =, with binders drawn from x, y and z so that names
+    collide and shadow.  Some int subterms take the capture shape
+    ``(let a e (let b (var a) (app (lam a body) arg)))``, where body reads
+    b: pushing the inner let under the lam must rename the binder a."""
+    return _program(rng, rng.choice(("int", "int", "bool")), {}, depth)
+
+
+def _program(rng: random.Random, ty: str, env: dict, depth: int) -> str:
+    names = [name for name, t in env.items() if t == ty]
+    if ty == "fn":  # int -> int
+        if names and rng.random() < 0.4:
+            return f"(var {rng.choice(names)})"
+        x = rng.choice("xyz")
+        return f"(lam {x} {_program(rng, 'int', {**env, x: 'int'}, depth - 1)})"
+    if depth <= 0 or rng.random() < 0.2:
+        if names and rng.random() < 0.6:
+            return f"(var {rng.choice(names)})"
+        return str(rng.randint(0, 3)) if ty == "int" else rng.choice(("true", "false"))
+    shapes = ("+", "if", "let", "app", "capture") if ty == "int" else ("=", "if", "let")
+    shape = rng.choice(shapes)
+
+    def sub(t, e=env):
+        return _program(rng, t, e, depth - 1)
+
+    if shape == "+":
+        return f"(+ {sub('int')} {sub('int')})"
+    if shape == "=":
+        return f"(= {sub('int')} {sub('int')})"
+    if shape == "if":
+        return f"(if {sub('bool')} {sub(ty)} {sub(ty)})"
+    if shape == "app":
+        return f"(app {sub('fn')} {sub('int')})"
+    if shape == "let":
+        x, bound = rng.choice("xyz"), rng.choice(("int", "fn"))
+        return f"(let {x} {sub(bound)} {sub(ty, {**env, x: bound})})"
+    a, b = rng.sample("xyz", 2)
+    inner = {**env, a: "int", b: "int"}
+    body = rng.choice((f"(var {b})", f"(+ (var {b}) {sub('int', inner)})"))
+    return f"(let {a} {sub('int')} (let {b} (var {a}) (app (lam {a} {body}) {sub('int')})))"
+
+
+def test_lambda_soundness_fuzz():
+    # every program keeps its value through saturation: the root's
+    # cheapest and shallowest members evaluate to the input's value
+    rng = random.Random(8)
+    programs = ["(let y 5 (let x (var y) (app (lam y (var x)) 1)))"]
+    programs += [random_closed_program(rng, rng.randint(1, 3)) for _ in range(250)]
+    config = RunnerConfig(iter_limit=6, node_limit=1000)
+    for text in programs:
+        term = parse_term(text, LAMBDA)
+        expected = eval_closed(term)
+        report = run(make_egraph(), [term], lambda_rules(), config)
+        assert report.stop_reason is not StopReason.ANALYSIS_CONTRADICTION, (
+            text, report.message
+        )
+        for cost_fn in (ast_size, ast_depth):
+            best, _ = Extractor(report.egraph, cost_fn).best(report.root_ids[0])
+            value = eval_closed(best)
+            assert (type(value), value) == (type(expected), expected), (text, str(best))
+    capture = re.compile(r"\(let (\w) \(var (\w)\) \(app \(lam \2 ")
+    assert sum(bool(capture.search(text)) for text in programs) >= 40

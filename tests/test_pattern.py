@@ -24,7 +24,6 @@ from eqsat import (
     build_cost_table,
     compile_pattern,
     ematch,
-    extract_as_analysis,
     num,
     parse_pattern,
     parse_term,
@@ -398,7 +397,6 @@ def test_dirty_graph_error_is_typed_and_survives_python_O():
         lambda: ematch(g, pattern),
         lambda: match_in_class(g, pattern, 0),
         lambda: build_cost_table(g),
-        lambda: extract_as_analysis(g),
     )
     for query in queries:
         with pytest.raises(DirtyGraphError):

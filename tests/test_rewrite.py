@@ -241,6 +241,14 @@ def test_rules_file_malformed_pattern_names_line(text):
         parse_rules("\n# comment\n" + text, MATH)
 
 
+def test_rules_file_duplicate_name_names_both_lines():
+    text = "r: (+ ?a ?b) => (+ ?b ?a)\n# comment\nr: (* ?a ?b) => (* ?b ?a)\n"
+    with pytest.raises(
+        RewriteError, match=r"line 3: duplicate rule name 'r' \(first on line 1\)"
+    ):
+        parse_rules(text, MATH)
+
+
 def test_saturation_apply_counts_zero_for_all_rules():
     g = math_egraph()
     g.add_term(parse_term("(/ (* a 2) 2)", MATH))

@@ -360,6 +360,17 @@ def test_scheduler_objects_accepted():
     assert report.stop_reason in (StopReason.SATURATED, StopReason.ITER_LIMIT)
 
 
+def test_duplicate_rule_names_are_rejected():
+    # stats and backoff bans are keyed by rule name, so two rules sharing
+    # one would share a ban and overwrite each other's report
+    rules = [
+        Rewrite.parse("r", "(+ ?a ?b)", "(+ ?b ?a)", MATH),
+        Rewrite.parse("r", "(* ?a ?b)", "(* ?b ?a)", MATH),
+    ]
+    with pytest.raises(ValueError, match="duplicate rule name 'r'"):
+        run(math_egraph(), [term("(+ (* a b) c)")], rules)
+
+
 def test_limits_must_be_positive():
     with pytest.raises(ValueError):
         RunnerConfig(iter_limit=0)
