@@ -1,10 +1,10 @@
 """Per-class analysis framework: semilattice data with make/join/modify hooks.
 
 An analysis attaches a value from a join-semilattice domain to every e-class.
-The e-graph keeps this data consistent through the same worklist machinery
-that restores congruence: when classes merge their data is joined, and when
-a class's data changes its parents are re-made and re-joined.  Parents of a
-class whose data did not change are not re-made.
+When classes merge their data is joined; a side whose data the join changed
+queues its parent nodes, which rebuild re-makes and re-joins once congruence
+holds, and a class whose data rises queues its own parents in turn.  Parents
+of a class whose data did not change are not re-made.
 
 Hook contract (rebuild calls these three hooks and no others):
   * ``make(egraph, node)`` is pure and monotone: its result is a function of

@@ -6,7 +6,7 @@ Exit codes:
   2  usage error or malformed input: a term, a line of the --pairs file,
      an unreadable --pairs file or one with no pairs, LHS and RHS given
      with --pairs or not both given without it, a missing, unreadable or
-     malformed rules file, or a limit (--iters, --nodes, --time-ms) below 1
+     malformed rules file, or a limit (--iters, --nodes, --time-ms, --repeats) below 1
   3  analysis contradiction (the rules equate distinct constants), in
      `simplify` or in any run of `check-equiv`
 """
@@ -78,11 +78,15 @@ def _exit_on_contradiction(report):
         sys.exit(3)
 
 
-def _config(iters, nodes, time_ms, scheduler):
-    for flag, value in (("--iters", iters), ("--nodes", nodes), ("--time-ms", time_ms)):
+def _at_least_one(*limits):
+    for flag, value in limits:
         if value < 1:
             click.echo(f"usage error: {flag} must be at least 1, got {value}", err=True)
             sys.exit(2)
+
+
+def _config(iters, nodes, time_ms, scheduler):
+    _at_least_one(("--iters", iters), ("--nodes", nodes), ("--time-ms", time_ms))
     return RunnerConfig(
         iter_limit=iters,
         node_limit=nodes,
@@ -245,6 +249,7 @@ def read_pair(line: str, lang) -> tuple[Term, Term]:
 def bench_cmd(csv_path, jsonl_path, repeats):
     """Compare immediate vs deferred invariant maintenance on the built-in
     workload suite and report the congruence speedup."""
+    _at_least_one(("--repeats", repeats))
     records = bench_module.run_bench(repeats=repeats)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:

@@ -3,10 +3,10 @@ deferred rebuilding algorithm that restores its invariants.
 
 Mutating operations (``add``, ``merge``) are cheap and may leave the graph
 dirty; ``rebuild`` drains a deduplicated worklist of merged classes,
-re-canonicalizing hashcons entries, upward-merging congruent parents, and
-propagating analysis data until every invariant holds again.  Calling
-``rebuild`` after every merge reproduces the traditional eager behavior;
-deferring it amortizes the work.
+re-canonicalizing hashcons entries and upward-merging congruent parents,
+then re-makes the parent nodes whose children's analysis data rose, until
+every invariant holds again.  Calling ``rebuild`` after every merge
+reproduces the traditional eager behavior; deferring it amortizes the work.
 """
 from __future__ import annotations
 
@@ -84,7 +84,7 @@ class UnionFind:
 
 
 class EGraph:
-    """The tuple (union-find, class map, hashcons) plus a rebuild worklist.
+    """The tuple (union-find, class map, hashcons) plus two rebuild worklists.
 
     ``clean`` is True iff the congruence, hashcons, and analysis invariants
     currently hold.  Queries (ematch, extraction) require a clean graph.
@@ -99,9 +99,8 @@ class EGraph:
         self.classes: dict[int, EClass] = {}
         self.hashcons: dict[ENode, int] = {}
         self.worklist: list[int] = []
-        # classes whose analysis data changed since their parents were last
-        # re-made; repair re-makes the parents of these classes only
-        self.data_changed: set[int] = set()
+        # (parent node, parent class) pairs whose children's data rose
+        self.analysis_pending: list[tuple[ENode, int]] = []
         self.clean = True
         # rebuild_after_merge emulates eager invariant maintenance: every
         # top-level merge immediately drains the worklist.
@@ -199,12 +198,11 @@ class EGraph:
         self.uf.union_into(ra, rb)
         data, changed = self.analysis.join(ca.data, cb.data)
         # each side's parents were made from that side's data; they need
-        # re-making if the joined data differs from it, or if they were
-        # still owed a re-make
-        marked = self.data_changed
-        if changed or data != cb.data or rb in marked:
-            marked.add(ra)
-        marked.discard(rb)
+        # re-making if the joined data differs from it
+        if changed:
+            self.analysis_pending.extend(ca.parents)
+        if data != cb.data:
+            self.analysis_pending.extend(cb.parents)
         ca.data = data
         ca.nodes.extend(cb.nodes)
         ca.parents.extend(cb.parents)
@@ -222,17 +220,34 @@ class EGraph:
         Drains the worklist in chunks: each chunk is the current worklist,
         canonicalized and deduplicated, before repair runs on each member.
         The deduplication is what coalesces overlapping upward-merge work.
+        When it is empty, one deduplicated chunk of pending parents is re-made.
         """
         if self._in_rebuild:
             return
         self.rebuild_calls += 1
         self._in_rebuild = True
+        find = self.uf.find
         try:
-            while self.worklist:
-                todo = self.worklist
-                self.worklist = []
-                for class_id in sorted({self.uf.find(c) for c in todo}):
-                    self._repair(self.uf.find(class_id))
+            while self.worklist or self.analysis_pending:
+                if self.worklist:
+                    todo = self.worklist
+                    self.worklist = []
+                    for class_id in sorted({find(c) for c in todo}):
+                        self._repair(find(class_id))
+                    continue
+                # a class whose data rises goes on no worklist: no node changed
+                todo = dict.fromkeys(
+                    (self.canonicalize(n), find(c)) for n, c in self.analysis_pending
+                )
+                self.analysis_pending = []
+                for node, class_id in todo:
+                    eclass = self.classes[find(class_id)]
+                    made = self.analysis.make(self, node)
+                    data, changed = self.analysis.join(eclass.data, made)
+                    if changed:
+                        eclass.data = data
+                        self.analysis_pending.extend(eclass.parents)
+                        self.analysis.modify(self, find(class_id))
             self._finish_rebuild()
         finally:
             self._in_rebuild = False
@@ -264,27 +279,7 @@ class EGraph:
             extra = eclass.parents[len(parents):]
             eclass.parents = list(new_parents.items()) + extra
 
-        # analysis maintenance: modify this class, then, if its data changed
-        # since its parents were last made, re-make and re-join the data of
-        # every parent, marking and re-enqueueing parents whose data changed.
-        # make reads only the children's data, so an unmarked class's
-        # parents would be re-made to what they already hold.
-        class_id = find(class_id)
-        self.analysis.modify(self, class_id)
-        class_id = find(class_id)
-        marked = self.data_changed
-        if class_id not in marked:
-            return
-        marked.discard(class_id)
-        for p_node, p_class in list(self.classes[class_id].parents):
-            p_id = find(p_class)
-            p_eclass = self.classes[p_id]
-            made = self.analysis.make(self, self.canonicalize(p_node))
-            new_data, changed = self.analysis.join(p_eclass.data, made)
-            if changed:
-                p_eclass.data = new_data
-                marked.add(p_id)
-                self.worklist.append(p_id)
+        self.analysis.modify(self, find(class_id))
 
     def _finish_rebuild(self) -> None:
         """Canonicalize, deduplicate, and sort every class's node list, then
@@ -356,9 +351,9 @@ class EGraph:
                 violations.append(
                     f"op index for {op!r} is {bucket}, expected {expected}"
                 )
-        if self.data_changed:
+        if self.analysis_pending:
             violations.append(
-                f"classes {sorted(self.data_changed)} still owe their parents a re-make"
+                f"{len(self.analysis_pending)} parent nodes still await an analysis re-make"
             )
 
         for node, target in self.hashcons.items():

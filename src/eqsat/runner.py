@@ -269,10 +269,10 @@ def run(
                 collected.append((index, rw, matches))
         search_time = time.perf_counter() - search_start
 
-        # write phase, then one rebuild to restore the invariants; an
+        # write phase, then one rebuild; a batch past the node limit ends the
+        # write phase, but the stop is decided on the rebuilt graph.  An
         # iteration out of time after its search reports no write phase
         repairs_before = egraph.repair_calls
-        hit_node_limit = False
         apply_time = rebuild_time = 0.0
         if time.perf_counter() - start > config.time_limit:
             stop_reason = StopReason.TIME_LIMIT
@@ -283,7 +283,6 @@ def run(
                     stats[rw.name].applied = apply_rewrite(egraph, rw, matches)
                     applied_before.record(index, matches)
                     if egraph.n_nodes() > config.node_limit:
-                        hit_node_limit = True
                         break
                 apply_time = time.perf_counter() - apply_start
                 rebuild_start = time.perf_counter()
@@ -308,7 +307,7 @@ def run(
         )
         if stop_reason is not None:
             break
-        if hit_node_limit:
+        if egraph.n_nodes() > config.node_limit:
             stop_reason = StopReason.NODE_LIMIT
         elif time.perf_counter() - start > config.time_limit:
             stop_reason = StopReason.TIME_LIMIT

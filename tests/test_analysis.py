@@ -16,6 +16,7 @@ from eqsat import (
 from eqsat.analysis import join_optional_constant
 from eqsat.domains.lam import LAMBDA, LamAnalysis, LamData, make_egraph as lam_egraph
 from eqsat.domains.math import MATH, make_egraph as math_egraph
+from eqsat.extraction import MinCostExtraction
 
 
 def test_make_leaf_is_its_own_constant():
@@ -287,7 +288,7 @@ def test_merge_of_equal_data_remakes_no_parent():
     g.rebuild()
     assert analysis.make_calls == before
     assert g.equiv(pa, pb)
-    assert g.data_changed == set()
+    assert g.analysis_pending == []
     assert g.invariant_check() == []
 
 
@@ -319,6 +320,22 @@ def test_pending_remake_survives_a_merge_that_changes_nothing():
     assert g.merge(leader, follower) == leader
     g.rebuild()
     assert g[parent].data.free == {"x", "y"}
+    assert g.invariant_check() == []
+
+
+def test_data_rise_repairs_only_the_merged_class():
+    # merging (* a 1) with a lowers the cost of both ancestors; their nodes
+    # did not change, so only the merged class is repaired
+    g = EGraph(MinCostExtraction())
+    root = g.add_term(parse_term("(+ (+ (* a 1) 1) 1)", MATH))
+    times_one = g.add_term(parse_term("(* a 1)", MATH))
+    a = g.add_term(parse_term("a", MATH))
+    g.rebuild()
+    before = g.repair_calls
+    g.merge(times_one, a)
+    g.rebuild()
+    assert g.repair_calls - before == 1
+    assert g[root].data == 5
     assert g.invariant_check() == []
 
 
@@ -367,7 +384,7 @@ def test_lambda_analysis_invariant_checked_after_rebuild(eager):
                 else:
                     g.rebuild()
                     assert g.invariant_check() == []
-                    assert g.data_changed == set()
+                    assert g.analysis_pending == []
         except AnalysisContradiction:
             # a random merge may equate two different constants
             continue

@@ -202,6 +202,22 @@ def test_non_positive_limit_is_exit_two():
                 ]
 
 
+def test_bench_repeats_below_one_is_exit_two(monkeypatch):
+    import eqsat.bench as bench_module
+
+    def no_run(**kwargs):
+        raise AssertionError("bench ran despite a usage error")
+
+    monkeypatch.setattr(bench_module, "run_bench", no_run)
+    for value in ("0", "-1"):
+        result = invoke("bench", "--repeats", value)
+        assert result.exit_code == 2, value
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"usage error: --repeats must be at least 1, got {value}"
+        ]
+
+
 def test_rules_file_via_cli(tmp_path):
     rules = tmp_path / "my.rules"
     rules.write_text("swap: (+ ?a ?b) => (+ ?b ?a)\n")

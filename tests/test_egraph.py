@@ -338,9 +338,9 @@ def test_invariant_check_reports_class_map_out_of_order():
 
 def test_invariant_check_reports_pending_data_change():
     def mark(g, root):
-        g.data_changed.add(root)
+        g.analysis_pending.append((g[root].nodes[0], root))
 
-    assert any("owe their parents a re-make" in v for v in _damaged_copy(mark))
+    assert any("await an analysis re-make" in v for v in _damaged_copy(mark))
 
 
 def test_enode_sort_key_orders_bool_then_num_then_sym_leaves():

@@ -181,6 +181,22 @@ def test_saturation_under_default_limits_is_clean():
         )
 
 
+def test_node_limit_is_decided_on_the_rebuilt_graph():
+    # its apply phases pass 3000 nodes with duplicates that the rebuild
+    # removes; the rebuilt graph never does, so the run reaches the
+    # iteration limit
+    text = (
+        "(= (+ (+ (if false 3 2) (let z (lam y (var y)) 2)) (let x (lam y (var y)) 1))"
+        " (let x (if (if false true false) (let x 1 (let z (var x)"
+        " (app (lam x (+ (var z) 1)) 2))) (app (lam y (var y)) 2))"
+        " (let z (var x) (app (lam x (var z))"
+        " (if (if false true true) (+ 1 3) (if false 3 1))))))"
+    )
+    report = saturate(text, RunnerConfig(iter_limit=8, node_limit=3000))
+    assert report.stop_reason is StopReason.ITER_LIMIT
+    assert all(it.enodes <= 3000 for it in report.iterations)
+
+
 def merge_symbols(g, *names):
     ids = [g.lookup(ENode(sym(name), ())) for name in names]
     assert None not in ids
