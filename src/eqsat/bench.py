@@ -226,33 +226,47 @@ def default_workloads() -> list[Workload]:
 def run_workload(
     workload: Workload, strategy: RebuildStrategy, repeats: int = 5
 ) -> BenchRecord:
-    """Counters come from a single run (they are exactly reproducible);
-    wall-clock times are medians over the repeats.  ``total_s`` times the
+    return _run_strategies(workload, [strategy], repeats)[0]
+
+
+def _run_strategies(
+    workload: Workload, strategies: Sequence[RebuildStrategy], repeats: int
+) -> list[BenchRecord]:
+    """One record per strategy.  Counters come from a single run (they are
+    exactly reproducible); wall-clock times are medians over the repeats,
+    and the strategies take turns within each repeat, so that a change in
+    the host's speed reaches each of them alike.  ``total_s`` times the
     whole ``workload.run`` call; ``congruence_s`` sums its series."""
-    results, totals = [], []
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        results.append(workload.run(strategy))
-        totals.append(time.perf_counter() - start)
-    congruences = [sum(seconds for _, seconds in series) for _, _, series in results]
-    egraph, root_ids, series = results[0]
-    extractor = Extractor(egraph)
-    roots_best = tuple(str(extractor.best(r)[0]) for r in root_ids)
-    return BenchRecord(
-        workload=workload.name,
-        strategy=strategy.value,
-        iterations=len(series),
-        rewrites=series[-1][0] if series else 0,
-        repairs=egraph.repair_calls,
-        congruence_s=sorted(congruences)[len(results) // 2],
-        total_s=sorted(totals)[len(results) // 2],
-        enodes=egraph.n_nodes(),
-        eclasses=egraph.n_classes(),
-        series=series,
-        signature=partition_signature(egraph, root_ids),
-        extracted=roots_best,
-        kind=workload.kind,
-    )
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    runs = [([], []) for _ in strategies]
+    for _ in range(repeats):
+        for strategy, (results, totals) in zip(strategies, runs):
+            start = time.perf_counter()
+            results.append(workload.run(strategy))
+            totals.append(time.perf_counter() - start)
+    records = []
+    for strategy, (results, totals) in zip(strategies, runs):
+        congruences = [sum(seconds for _, seconds in series) for _, _, series in results]
+        egraph, root_ids, series = results[0]
+        extractor = Extractor(egraph)
+        roots_best = tuple(str(extractor.best(r)[0]) for r in root_ids)
+        records.append(BenchRecord(
+            workload=workload.name,
+            strategy=strategy.value,
+            iterations=len(series),
+            rewrites=series[-1][0] if series else 0,
+            repairs=egraph.repair_calls,
+            congruence_s=sorted(congruences)[repeats // 2],
+            total_s=sorted(totals)[repeats // 2],
+            enodes=egraph.n_nodes(),
+            eclasses=egraph.n_classes(),
+            series=series,
+            signature=partition_signature(egraph, root_ids),
+            extracted=roots_best,
+            kind=workload.kind,
+        ))
+    return records
 
 
 def run_bench(
@@ -268,7 +282,7 @@ def run_bench(
     workloads = list(workloads) if workloads is not None else default_workloads()
     records = []
     for workload in workloads:
-        per_strategy = [run_workload(workload, s, repeats) for s in strategies]
+        per_strategy = _run_strategies(workload, strategies, repeats)
         first = per_strategy[0]
         for other in per_strategy[1:]:
             if other.signature != first.signature or other.extracted != first.extracted:

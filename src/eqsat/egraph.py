@@ -5,12 +5,15 @@ Mutating operations (``add``, ``merge``) are cheap and may leave the graph
 dirty; ``rebuild`` drains a deduplicated worklist of merged classes,
 re-canonicalizing hashcons entries and upward-merging congruent parents,
 then re-makes the parent nodes whose children's analysis data rose, until
-every invariant holds again.  Calling ``rebuild`` after every merge
-reproduces the traditional eager behavior; deferring it amortizes the work.
+every invariant holds again.  It then sorts only the classes it touched.
+The hashcons, the op index and so the node count are kept exact by ``add``,
+``merge`` and repair alone.  Calling ``rebuild`` after every merge reproduces
+the traditional eager behavior; deferring it amortizes the work.
 """
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Optional
 
 from .analysis import Analysis
@@ -106,7 +109,6 @@ class EGraph:
         # top-level merge immediately drains the worklist.
         self.rebuild_after_merge = rebuild_after_merge
         self._in_rebuild = False
-        self._n_nodes = 0
         self._op_index: dict[Op, list[int]] = {}
         # instrumentation, exact and reproducible run-to-run
         self.repair_calls = 0
@@ -148,7 +150,7 @@ class EGraph:
         return len(self.classes)
 
     def n_nodes(self) -> int:
-        return self._n_nodes
+        return len(self.hashcons)
 
     def class_ids(self) -> Iterable[int]:
         return self.classes.keys()
@@ -170,7 +172,7 @@ class EGraph:
         for child in dict.fromkeys(node.children):
             self.classes[child].parents.append((node, class_id))
         self.hashcons[node] = class_id
-        self._n_nodes += 1
+        # a fresh id is the largest yet, so the bucket stays sorted
         self._op_index.setdefault(node.op, []).append(class_id)
         eclass.data = self.analysis.make(self, node)
         self.analysis.modify(self, class_id)
@@ -203,6 +205,12 @@ class EGraph:
             self.analysis_pending.extend(ca.parents)
         if data != cb.data:
             self.analysis_pending.extend(cb.parents)
+        for op in {n.op for n in cb.nodes}:
+            bucket = self._op_index[op]
+            del bucket[bisect_left(bucket, rb)]
+            at = bisect_left(bucket, ra)
+            if at == len(bucket) or bucket[at] != ra:
+                bucket.insert(at, ra)
         ca.data = data
         ca.nodes.extend(cb.nodes)
         ca.parents.extend(cb.parents)
@@ -221,19 +229,23 @@ class EGraph:
         canonicalized and deduplicated, before repair runs on each member.
         The deduplication is what coalesces overlapping upward-merge work.
         When it is empty, one deduplicated chunk of pending parents is re-made.
+        Only the classes repaired or holding a re-keyed parent are sorted.
         """
         if self._in_rebuild:
             return
         self.rebuild_calls += 1
         self._in_rebuild = True
         find = self.uf.find
+        touched: set[int] = set()
+        rekeyed: list[tuple[ENode, int]] = []
         try:
             while self.worklist or self.analysis_pending:
                 if self.worklist:
                     todo = self.worklist
                     self.worklist = []
                     for class_id in sorted({find(c) for c in todo}):
-                        self._repair(find(class_id))
+                        touched.add(class_id)
+                        rekeyed.extend(self._repair(find(class_id)))
                     continue
                 # a class whose data rises goes on no worklist: no node changed
                 todo = dict.fromkeys(
@@ -248,11 +260,13 @@ class EGraph:
                         eclass.data = data
                         self.analysis_pending.extend(eclass.parents)
                         self.analysis.modify(self, find(class_id))
-            self._finish_rebuild()
+            self._finish_rebuild(touched, rekeyed)
         finally:
             self._in_rebuild = False
 
-    def _repair(self, class_id: int) -> None:
+    def _repair(self, class_id: int) -> list[tuple[ENode, int]]:
+        """Re-key and upward-merge the parents of one class.  Returns the
+        (new key, parent class) pairs of the parents whose form changed."""
         self.repair_calls += 1
         eclass = self.classes[class_id]
         find = self.uf.find
@@ -262,11 +276,14 @@ class EGraph:
         # form (upward merging), which pushes further worklist entries
         parents = list(eclass.parents)
         new_parents: dict[ENode, int] = {}
+        rekeyed = []
         for p_node, p_class in parents:
             self.hashcons.pop(p_node, None)
             node = self.canonicalize(p_node)
             self.hashcons[node] = find(p_class)
             self.hashcons_updates += 2
+            if node is not p_node:
+                rekeyed.append((node, p_class))
             seen = new_parents.get(node)
             if seen is not None:
                 self.merge(p_class, seen)
@@ -280,30 +297,29 @@ class EGraph:
             eclass.parents = list(new_parents.items()) + extra
 
         self.analysis.modify(self, find(class_id))
+        return rekeyed
 
-    def _finish_rebuild(self) -> None:
-        """Canonicalize, deduplicate, and sort every class's node list, then
-        reconstruct the hashcons and op index so they hold exactly the
-        canonical nodes.  Repair leaves unreachable stale keys behind when a
-        node's other children merge later; this pass drops them."""
-        n_nodes = 0
-        hashcons: dict[ENode, int] = {}
-        op_index: dict[Op, list[int]] = {}
-        # only add inserts classes, with fresh ids, so the map ascends
-        for class_id, eclass in self.classes.items():
-            canon = sorted(
+    def _finish_rebuild(
+        self, touched: set[int], rekeyed: list[tuple[ENode, int]]
+    ) -> None:
+        """Canonicalize, deduplicate, and sort the node lists of the touched
+        classes and of the owners of re-keyed parents, re-keying their
+        hashcons entries; no other class holds a stale node.  A key that
+        repair installed goes stale when another child of its node merges
+        later in the same rebuild; it is dropped first."""
+        find, hashcons = self.uf.find, self.hashcons
+        for node, p_class in rekeyed:
+            if self.canonicalize(node) is not node:
+                hashcons.pop(node, None)
+            touched.add(p_class)
+        for class_id in {find(c) for c in touched}:
+            eclass = self.classes[class_id]
+            for node in eclass.nodes:
+                hashcons.pop(node, None)
+            eclass.nodes = sorted(
                 {self.canonicalize(n) for n in eclass.nodes}, key=enode_sort_key
             )
-            eclass.nodes = canon
-            n_nodes += len(canon)
-            for node in canon:
-                hashcons[node] = class_id
-                bucket = op_index.setdefault(node.op, [])
-                if not bucket or bucket[-1] != class_id:
-                    bucket.append(class_id)
-        self._n_nodes = n_nodes
-        self.hashcons = hashcons
-        self._op_index = op_index
+            hashcons.update(dict.fromkeys(eclass.nodes, class_id))
         self.clean = True
 
     # ------------------------------------------------------------------
@@ -334,13 +350,13 @@ class EGraph:
                     )
                 owner[canon] = class_id
 
-        # what the class pass builds and what queries rely on
+        # what add, merge and rebuild keep up and what queries rely on
         ids, ascending = list(self.classes), sorted(self.classes)
         if ids != ascending:
             violations.append("class map ids do not ascend")
         n_nodes = sum(len(eclass.nodes) for eclass in self.classes.values())
-        if self._n_nodes != n_nodes:
-            violations.append(f"n_nodes() is {self._n_nodes}, classes hold {n_nodes}")
+        if self.n_nodes() != n_nodes:
+            violations.append(f"n_nodes() is {self.n_nodes()}, classes hold {n_nodes}")
         op_index: dict[Op, list[int]] = {}
         for class_id in ascending:
             for op in dict.fromkeys(n.op for n in self.classes[class_id].nodes):
@@ -405,10 +421,10 @@ class EGraph:
         # modify may add and merge, so probe it on a copy: checking never
         # changes the graph it checks
         probe = copy.deepcopy(self)
-        before = (len(probe.classes), probe._n_nodes, probe.union_count)
+        before = (len(probe.classes), probe.n_nodes(), probe.union_count)
         for class_id in list(probe.classes):
             probe.analysis.modify(probe, probe.uf.find(class_id))
-        if (len(probe.classes), probe._n_nodes, probe.union_count) != before:
+        if (len(probe.classes), probe.n_nodes(), probe.union_count) != before:
             violations.append("analysis modify hook is not at a fixpoint")
         return violations
 
@@ -439,7 +455,7 @@ class EGraph:
         return {
             "schema": 1,
             "eclasses": len(self.classes),
-            "enodes": self._n_nodes,
+            "enodes": self.n_nodes(),
             "unionfind": list(self.uf.parent),
             "classes": {
                 str(cid): {

@@ -39,6 +39,11 @@ def test_repair_counts_deterministic():
     assert first.enodes == second.enodes
 
 
+def test_run_workload_rejects_repeats_below_one():
+    with pytest.raises(ValueError, match="repeats"):
+        run_workload(chain_workload(3, 2), RebuildStrategy.DEFERRED, repeats=0)
+
+
 def test_deferred_repairs_bounded_by_depth():
     d = 8
     for w in (5, 15, 30):

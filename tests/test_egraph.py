@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import pytest
-from eqsat import EGraph, ENode, boolean, num, parse_term, sym
+from eqsat import Analysis, EGraph, ENode, boolean, num, parse_term, sym
 from eqsat.egraph import enode_sort_key
 from eqsat.domains.math import MATH, make_egraph as math_egraph
 
@@ -226,6 +226,46 @@ def test_repair_recanonicalizes_parents_after_a_union_in_its_dedupe_loop():
     assert same_partition(g.equiv, oracle.equiv, ids, oracle_ids)
 
 
+class AddsFOfHBesideP(Analysis):
+    """In a class that holds the leaf p, adds f(c) for each h(c) and merges
+    it into the class: a non-leaf add from inside a rebuild."""
+
+    def modify(self, egraph, class_id):
+        nodes = list(egraph[class_id].nodes)
+        if leaf("p") in nodes:
+            for node in nodes:
+                if node.op == "h":
+                    egraph.merge(class_id, egraph.add(ENode("f", node.children)))
+
+
+def test_modify_adds_a_parent_node_mid_rebuild():
+    # the f(b) that modify adds is found under the key repair installed
+    # for it after a and b merged, so it joins f(b)'s class
+    g = EGraph(AddsFOfHBesideP())
+    a, b = g.add(leaf("a")), g.add(leaf("b"))
+    fb, hb = g.add(ENode("f", (b,))), g.add(ENode("h", (b,)))
+    p = g.add(leaf("p"))
+    g.rebuild()
+    g.merge(a, b)
+    g.merge(hb, p)
+    g.rebuild()
+    assert g.equiv(fb, hb)
+    assert g.invariant_check() == []
+
+
+def test_rebuild_leaves_untouched_classes_alone():
+    g = EGraph()
+    gs = [g.add(ENode("g", (g.add(leaf(f"x{i}")),))) for i in range(200)]
+    a, b = g.add(leaf("a")), g.add(leaf("b"))
+    fb = g.add(ENode("f", (b,)))
+    before = [g[c].nodes for c in gs]
+    g.merge(a, b)
+    g.rebuild()
+    assert all(g[c].nodes is nodes for c, nodes in zip(gs, before))
+    assert ENode("f", (g.find(a),)) in g[fb].nodes
+    assert g.invariant_check() == []
+
+
 def test_fanout_deferred_hashcons_updates_linear():
     # n parent terms over one child: a single deferred rebuild touches each
     # parent hashcons entry once (one remove + one insert)
@@ -324,7 +364,7 @@ def test_invariant_check_reports_wrong_op_index():
 
 def test_invariant_check_reports_wrong_node_count():
     def miscount(g, root):
-        g._n_nodes += 1
+        g.hashcons[ENode("stray", (root,))] = root
 
     assert any("n_nodes()" in v for v in _damaged_copy(miscount))
 
