@@ -49,7 +49,6 @@ from .pattern import (
 from .rewrite import (
     Applier,
     ConditionEqual,
-    ConditionalApplier,
     DynamicApplier,
     PatternApplier,
     Rewrite,
@@ -82,7 +81,6 @@ __all__ = [
     "ArityError",
     "BackoffScheduler",
     "ConditionEqual",
-    "ConditionalApplier",
     "ConstantOverflow",
     "DirtyGraphError",
     "DynamicApplier",

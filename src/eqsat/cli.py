@@ -6,12 +6,14 @@ Exit codes:
   2  usage error or malformed input: a term, a line of the --pairs file,
      an unreadable --pairs file or one with no pairs, LHS and RHS given
      with --pairs or not both given without it, a missing, unreadable or
-     malformed rules file, or a limit (--iters, --nodes, --time-ms, --repeats) below 1
+     malformed rules file, a limit (--iters, --nodes, --time-ms, --repeats)
+     below 1, or a `bench` --out or --json-lines file that cannot be written
   3  analysis contradiction (the rules equate distinct constants), in
      `simplify` or in any run of `check-equiv`
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -61,6 +63,15 @@ def _read_or_exit(path, what):
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         click.echo(f"{what} error: cannot read {path}: {reason}", err=True)
+        sys.exit(2)
+
+
+def _open_or_exit(path, newline):
+    """A user-named output file opened for writing, or exit 2 with one line."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        click.echo(f"output error: cannot write {path}: {exc.strerror or exc}", err=True)
         sys.exit(2)
 
 
@@ -250,13 +261,15 @@ def bench_cmd(csv_path, jsonl_path, repeats):
     """Compare immediate vs deferred invariant maintenance on the built-in
     workload suite and report the congruence speedup."""
     _at_least_one(("--repeats", repeats))
-    records = bench_module.run_bench(repeats=repeats)
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(bench_module.records_to_csv(records))
-    if jsonl_path:
-        with open(jsonl_path, "w", encoding="utf-8") as handle:
-            handle.write(bench_module.records_to_jsonl(records))
+    with contextlib.ExitStack() as files:
+        # opened before the bench runs, so a bad path costs no run
+        csv_out = csv_path and files.enter_context(_open_or_exit(csv_path, ""))
+        jsonl_out = jsonl_path and files.enter_context(_open_or_exit(jsonl_path, None))
+        records = bench_module.run_bench(repeats=repeats)
+        if csv_out:
+            csv_out.write(bench_module.records_to_csv(records))
+        if jsonl_out:
+            jsonl_out.write(bench_module.records_to_jsonl(records))
     summary = bench_module.speedup_report(records)
     click.echo(f"{'workload':<24}{'speedup':>10}")
     for name, speedup in summary["speedups"].items():

@@ -23,7 +23,6 @@ from ..language import LanguageDef, Leaf, Term, boolean, num, sym
 from ..pattern import apply_subst, parse_pattern
 from ..rewrite import (
     Applier,
-    ConditionalApplier,
     PatternApplier,
     Rewrite,
     is_const,
@@ -240,16 +239,14 @@ def lambda_rules() -> list[Rewrite]:
         Rewrite(
             "let-lam-diff",
             parse_pattern("(let ?v1 ?e (lam ?v2 ?body))", LAMBDA),
-            ConditionalApplier(
-                is_not_same_var("?v1", "?v2"),
-                CaptureAvoidingSubst(
-                    fresh="?fresh",
-                    v2="?v2",
-                    e="?e",
-                    if_not_free="(lam ?v2 (let ?v1 ?e ?body))",
-                    if_free="(lam ?fresh (let ?v1 ?e (let ?v2 (var ?fresh) ?body)))",
-                ),
+            CaptureAvoidingSubst(
+                fresh="?fresh",
+                v2="?v2",
+                e="?e",
+                if_not_free="(lam ?v2 (let ?v1 ?e ?body))",
+                if_free="(lam ?fresh (let ?v1 ?e (let ?v2 (var ?fresh) ?body)))",
             ),
+            (is_not_same_var("?v1", "?v2"),),
         ),
     ]
 

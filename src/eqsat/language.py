@@ -10,9 +10,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
-
-VARIADIC = None  # arity marker for list-like constructors
+from typing import Iterator, NamedTuple, Union
 
 
 class Leaf(NamedTuple):
@@ -73,13 +71,13 @@ class LanguageDef:
     """
 
     name: str
-    operators: dict[str, Optional[int]]
+    operators: dict[str, int]
     leaf_kinds: frozenset[str] = frozenset({"num", "sym"})
 
     def __post_init__(self):
         ops = {}
         for op, arity in self.operators.items():
-            if arity is not VARIADIC and (not isinstance(arity, int) or arity < 0):
+            if not isinstance(arity, int) or arity < 0:
                 raise LanguageError(f"bad arity for operator {op!r}: {arity!r}")
             ops[sys.intern(op)] = arity
         self.operators = ops
@@ -206,7 +204,7 @@ def _read_atom(token: str, pos: int, lang: LanguageDef, allow_vars: bool) -> Op:
         return Leaf("var", sys.intern(token))
     if token in lang.operators:
         arity = lang.operators[token]
-        if arity not in (VARIADIC, 0):
+        if arity != 0:
             raise ArityError(
                 f"operator {token!r} expects {arity} arguments, got 0", pos
             )
@@ -259,7 +257,7 @@ def read_sexp(
                 break
             head, head_pos, _, kids = open_apps.pop()
             arity = lang.operators[head]
-            if arity is not VARIADIC and len(kids) != arity:
+            if len(kids) != arity:
                 raise ArityError(
                     f"operator {head!r} expects {arity} arguments, got {len(kids)}",
                     head_pos,

@@ -1,13 +1,15 @@
-"""Named rewrite rules: a searcher pattern plus an applier.
+"""Named rewrite rules: a searcher pattern, an applier and conditions.
 
-Appliers come in three flavors: purely syntactic patterns, condition-guarded
-appliers, and dynamic procedures that compute their right-hand side from
-analysis data.  Conditions run in the read phase and never mutate the graph.
+Appliers come in two flavors: purely syntactic patterns, and dynamic
+procedures that compute their right-hand side from analysis data.  A rule's
+conditions are read-only tests of a match; the runner decides them in the
+read phase, on the clean graph the match was found in, so no merge of the
+same iteration can change their answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .egraph import EGraph
 from .language import LanguageDef, LanguageError, read_sexp, tokenize
@@ -37,10 +39,6 @@ class Applier:
         """Variables the applier binds itself at apply time."""
         return ()
 
-    def condition_vars(self) -> tuple[str, ...]:
-        """Variables its conditions read before anything is applied."""
-        return ()
-
 
 @dataclass
 class PatternApplier(Applier):
@@ -51,27 +49,6 @@ class PatternApplier(Applier):
 
     def pattern_vars(self):
         return self.pattern.vars()
-
-
-@dataclass
-class ConditionalApplier(Applier):
-    condition: Condition
-    inner: Applier
-
-    def apply_one(self, egraph, eclass, subst):
-        if not self.condition(egraph, eclass, subst):
-            return []
-        return self.inner.apply_one(egraph, eclass, subst)
-
-    def pattern_vars(self):
-        return self.inner.pattern_vars()
-
-    def fresh_vars(self):
-        return self.inner.fresh_vars()
-
-    def condition_vars(self):
-        declared = getattr(self.condition, "variables", ())
-        return tuple(declared) + self.inner.condition_vars()
 
 
 @dataclass
@@ -152,11 +129,16 @@ class RewriteError(LanguageError):
 
 @dataclass
 class Rewrite:
+    """Where `searcher` matches and every condition holds on the clean
+    graph, `applier` gives what the matched class is merged with."""
+
     name: str
     searcher: Pattern
     applier: Applier
+    conditions: tuple[Condition, ...] = ()
 
     def __post_init__(self):
+        self.conditions = tuple(self.conditions)
         searched = set(self.searcher.vars())
         bound = searched | set(self.applier.fresh_vars())
         missing = [v for v in self.applier.pattern_vars() if v not in bound]
@@ -164,10 +146,8 @@ class Rewrite:
             raise RewriteError(
                 f"rewrite {self.name!r} uses unbound variables: {', '.join(missing)}"
             )
-        unbound = [
-            v for v in dict.fromkeys(self.applier.condition_vars())
-            if v not in searched
-        ]
+        declared = [v for c in self.conditions for v in getattr(c, "variables", ())]
+        unbound = [v for v in dict.fromkeys(declared) if v not in searched]
         if unbound:
             raise RewriteError(
                 f"rewrite {self.name!r}: condition uses variables the "
@@ -180,13 +160,10 @@ class Rewrite:
         lhs: str,
         rhs: str,
         lang: LanguageDef,
-        conditions: Sequence[Condition] = (),
+        conditions: Iterable[Condition] = (),
     ) -> "Rewrite":
-        searcher = parse_pattern(lhs, lang)
-        applier: Applier = PatternApplier(parse_pattern(rhs, lang))
-        for condition in reversed(list(conditions)):
-            applier = ConditionalApplier(condition, applier)
-        return Rewrite(name, searcher, applier)
+        applier = PatternApplier(parse_pattern(rhs, lang))
+        return Rewrite(name, parse_pattern(lhs, lang), applier, conditions)
 
     def search(self, egraph: EGraph) -> list[SearchMatches]:
         return ematch(egraph, self.searcher)
@@ -195,8 +172,9 @@ class Rewrite:
 def apply_rewrite(
     egraph: EGraph, rewrite: Rewrite, matches: list[SearchMatches]
 ) -> int:
-    """Apply previously collected matches; returns how many substitutions
-    performed at least one new union.  May leave the graph dirty."""
+    """Apply previously collected matches, whose conditions were decided
+    when they were collected; returns how many substitutions performed at
+    least one new union.  May leave the graph dirty."""
     applied = 0
     for eclass, substs in matches:
         for subst in substs:
@@ -255,12 +233,12 @@ def _parse_rule(line: str, lang: LanguageDef) -> Rewrite:
     if not tokens:
         raise RewriteError("missing right-hand side")
     rhs, at = _read_pattern(tokens, 0, lang)
-    applier: Applier = PatternApplier(rhs)
+    conditions = ()
     if at < len(tokens):
         if tokens[at][0] != "if":
             raise RewriteError("trailing tokens after rhs")
-        applier = ConditionalApplier(_parse_condition(tokens[at + 1 :], lang), applier)
-    return Rewrite(name.strip(), searcher, applier)
+        conditions = (_parse_condition(tokens[at + 1 :], lang),)
+    return Rewrite(name.strip(), searcher, PatternApplier(rhs), conditions)
 
 
 def parse_rules(text: str, lang: LanguageDef) -> list[Rewrite]:

@@ -1,11 +1,13 @@
 """The phase-split equality saturation loop.
 
-Each iteration searches every (unbanned) rule against a clean graph,
-collects all matches, applies them in a write phase that may temporarily
-break invariants, and restores the invariants with a single rebuild.
-Splitting the phases makes the result invariant to rule order and lets the
-rebuild be deferred safely.  A plain pattern rule's match whose canonical
-ids repeat an instance the run already applied is not applied again.
+Each iteration searches every (unbanned) rule against a clean graph and
+decides the matches' conditions there, applies the kept matches in a write
+phase that may temporarily break invariants, and restores the invariants
+with a single rebuild.  Splitting the phases makes the result of pattern
+rules invariant to rule order (dynamic appliers still read the graph in the
+write phase) and lets the rebuild be deferred safely.  A pattern rule's
+match whose canonical ids repeat an instance the run already applied is not
+applied again.
 """
 from __future__ import annotations
 
@@ -106,7 +108,8 @@ class RuleStats:
     """Per rule, per iteration: the matches the scheduler kept
     (``searched``), how many of them repeated an instance the run had
     already applied and were not applied again (``skipped``), and how many
-    applied ones made a new union (``applied``)."""
+    applied ones made a new union (``applied``).  A match whose conditions
+    do not all hold is not applied, and counts in neither."""
 
     searched: int = 0
     skipped: int = 0
@@ -116,31 +119,38 @@ class RuleStats:
 
 class _AppliedInstances:
     """The instances a run has applied, per rule whose applier is exactly a
-    `PatternApplier`: ``(class id, *substitution ids)``, the ids read from
-    the `Substitutions` tuples (variable-name order), so no dict is built.
+    `PatternApplier`, with or without conditions: ``(class id,
+    *substitution ids)``, the ids read from the `Substitutions` tuples
+    (variable-name order), so no dict is built.
 
     The graph only grows and congruence holds at every clean point, so an
     instance applied once has its right-hand side in the matched class
     from then on; met again with the same canonical ids, it can add no node
-    and make no union.  A key made stale by a merge only misses.
-    Conditional and dynamic appliers are never skipped: a condition can
-    turn true, and a procedure can give a new answer, later."""
+    and make no union.  A key made stale by a merge only misses.  What a
+    condition rejected is not stored, as the condition can turn true later;
+    dynamic appliers are never skipped: a procedure can give a new answer."""
 
     def __init__(self, rules: Sequence[Rewrite]):
         self.seen = [
             set() if type(rw.applier) is PatternApplier else None for rw in rules
         ]
 
-    def fresh(self, index: int, matches: list[SearchMatches]):
-        """The matches of rule `index` not applied before, and how many
-        were left out."""
-        seen = self.seen[index]
-        if seen is None:
-            return matches, 0
+    def to_apply(self, egraph: EGraph, index: int, rewrite: Rewrite, matches):
+        """The matches of rule `index`, `rewrite`, not applied before and
+        whose conditions hold on the clean graph; and how many repeated."""
+        seen, conditions = self.seen[index], rewrite.conditions
         kept, skipped = [], 0
         for eclass, substs in matches:
-            new = [ids for ids in substs.ids if (eclass, *ids) not in seen]
-            skipped += len(substs) - len(new)
+            new = []
+            for i, ids in enumerate(substs.ids):
+                if seen is not None and (eclass, *ids) in seen:
+                    skipped += 1
+                    continue
+                if conditions:
+                    subst = substs[i]
+                    if not all(cond(egraph, eclass, subst) for cond in conditions):
+                        continue
+                new.append(ids)
             if new:
                 kept.append(SearchMatches(eclass, Substitutions(substs.names, new)))
         return kept, skipped
@@ -261,10 +271,10 @@ def run(
                 st.banned = True
                 continue
             matches = rw.search(egraph)
-            # the scheduler sees every match; repeats are left out after it
+            # the scheduler sees every match; repeats and rejects go after it
             matches, st.banned = scheduler.filter_matches(iteration, rw, matches)
             st.searched = sum(len(m.substs) for m in matches)
-            matches, st.skipped = applied_before.fresh(index, matches)
+            matches, st.skipped = applied_before.to_apply(egraph, index, rw, matches)
             if matches:
                 collected.append((index, rw, matches))
         search_time = time.perf_counter() - search_start

@@ -414,10 +414,11 @@ def reference_cost_table(egraph: EGraph, cost_fn) -> dict:
 
 
 def run_without_memo(egraph: EGraph, roots, rules, iter_limit: int, scheduler="every"):
-    """The saturation loop with nothing left out: every match the scheduler
-    keeps goes through `apply_rewrite`, every iteration, repeats included.
-    Same phases and stop test as `eqsat.run` without node, time or hook
-    limits; returns the root class ids."""
+    """The saturation loop with no memo: every match the scheduler keeps
+    whose conditions hold on the clean graph goes through `apply_rewrite`,
+    every iteration, repeats included.  Same phases and stop test as
+    `eqsat.run` without node, time or hook limits; returns the root class
+    ids."""
     from eqsat.rewrite import apply_rewrite
     from eqsat.runner import make_scheduler
 
@@ -433,7 +434,13 @@ def run_without_memo(egraph: EGraph, roots, rules, iter_limit: int, scheduler="e
                 continue
             matches, banned = scheduler.filter_matches(iteration, rw, rw.search(egraph))
             any_banned = any_banned or banned
-            collected.append((rw, matches))
+            holding = []
+            for eclass, substs in matches:
+                holding.append((eclass, [
+                    subst for subst in substs
+                    if all(cond(egraph, eclass, subst) for cond in rw.conditions)
+                ]))
+            collected.append((rw, holding))
         for rw, matches in collected:
             apply_rewrite(egraph, rw, matches)
         egraph.rebuild()

@@ -218,6 +218,23 @@ def test_bench_repeats_below_one_is_exit_two(monkeypatch):
         ]
 
 
+def test_bench_unwritable_output_is_exit_two_before_the_bench(monkeypatch, tmp_path):
+    import eqsat.bench as bench_module
+
+    def no_run(**kwargs):
+        raise AssertionError("bench ran despite an unwritable output")
+
+    monkeypatch.setattr(bench_module, "run_bench", no_run)
+    missing = tmp_path / "no-such-dir" / "bench.out"
+    for flag in ("--out", "--json-lines"):
+        result = invoke("bench", flag, str(missing), "--repeats", "1")
+        assert result.exit_code == 2, flag
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"output error: cannot write {missing}: No such file or directory"
+        ]
+
+
 def test_rules_file_via_cli(tmp_path):
     rules = tmp_path / "my.rules"
     rules.write_text("swap: (+ ?a ?b) => (+ ?b ?a)\n")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from eqsat import (
     ArityError,
     LanguageDef,
+    LanguageError,
     ParseError,
     Term,
     UnknownOperatorError,
@@ -128,8 +129,9 @@ def test_lambda_term_surface():
 
 
 def test_duplicate_arity_validation():
-    with pytest.raises(Exception):
-        LanguageDef("bad", {"f": -1})
+    for arity in (-1, None):
+        with pytest.raises(LanguageError, match="bad arity"):
+            LanguageDef("bad", {"f": arity})
 
 
 @settings(max_examples=150, deadline=None)

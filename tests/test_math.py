@@ -15,7 +15,7 @@ from eqsat import (
     run,
     sym,
 )
-from eqsat.rewrite import ConditionalApplier, PatternApplier
+from eqsat.rewrite import PatternApplier
 from eqsat.domains.math import (
     MATH,
     eval_term,
@@ -102,13 +102,12 @@ def symbols_of(term: Term):
     )
 
 
-def rhs_pattern(applier):
-    if isinstance(applier, ConditionalApplier):
-        inner, _ = rhs_pattern(applier.inner)
-        return inner, applier.condition
-    if isinstance(applier, PatternApplier):
-        return applier.pattern, None
-    return None, None
+def rhs_pattern(rule):
+    """The rule's right-hand-side pattern (None for a dynamic applier) and
+    its conditions."""
+    if isinstance(rule.applier, PatternApplier):
+        return rule.applier.pattern, rule.conditions
+    return None, rule.conditions
 
 
 def pattern_to_term(pattern, index, subst, extractor):
@@ -137,13 +136,12 @@ def fuzz_fired_instances(exprs, rules, rng, assignments_per_instance=6, max_subs
         g = report.egraph
         extractor = Extractor(g)
         for rule in rules:
-            pattern, _ = rhs_pattern(rule.applier)
+            pattern, conditions = rhs_pattern(rule)
             if pattern is None:
                 continue
             for match in rule.search(g):
                 for subst in match.substs[:max_substs]:
-                    condition = rhs_pattern(rule.applier)[1]
-                    if condition is not None and not condition(g, match.eclass, subst):
+                    if not all(cond(g, match.eclass, subst) for cond in conditions):
                         continue
                     lhs = pattern_to_term(rule.searcher, -1, subst, extractor)
                     rhs = pattern_to_term(pattern, -1, subst, extractor)

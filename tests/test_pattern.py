@@ -458,16 +458,27 @@ def test_deep_pattern_spine_compiles_and_matches_without_recursion():
     assert matches == [(below_root, [{"?x": a}]), (root, [{"?x": f_a}])]
 
 
-# A language whose classes mix leaves, a nullary operator and a variadic
-# operator, so Bind meets same-op runs of several arities and hashcons probes.
-MIXED = LanguageDef(
-    "mixed", {"f": 2, "g": 1, "nil": 0, "lst": None}, frozenset({"num", "sym"})
-)
+# Classes that mix leaves, a nullary operator and `lst` nodes of several
+# arities (`add` takes any arity), so Bind meets same-op runs of several
+# arities and hashcons probes.
+MIXED_OPS = {"f": 2, "g": 1, "nil": 0}
 MIXED_LEAVES = [num(1), num(2), sym("a"), sym("b")]
 
 
+def parse_mixed(text):
+    """A pattern over MIXED_OPS and `lst`, read with the one `lst` arity
+    (0 to 3) that the text uses."""
+    for arity in range(4):
+        lang = LanguageDef("mixed", {**MIXED_OPS, "lst": arity}, frozenset({"num", "sym"}))
+        try:
+            return parse_pattern(text, lang)
+        except ArityError:
+            continue
+    raise ValueError(f"no single lst arity reads {text!r}")
+
+
 def random_mixed_egraph(rng, n_nodes=40, n_merges=12):
-    """Random nodes over MIXED plus many merges, so classes hold several
+    """Random nodes over MIXED_OPS and `lst` plus many merges, so classes hold several
     nodes with the same operator next to leaves and `nil`."""
     g = EGraph()
     ids = [g.add(ENode(leaf, ())) for leaf in MIXED_LEAVES]
@@ -496,7 +507,7 @@ def _listing(matches):
 
 def test_matcher_agrees_with_naive_on_mixed_classes_in_order():
     rng = random.Random(2024)
-    patterns = [parse_pattern(text, MIXED) for text in MIXED_PATTERNS]
+    patterns = [parse_mixed(text) for text in MIXED_PATTERNS]
     busy = 0
     for _ in range(40):
         g, _ = random_mixed_egraph(rng)
@@ -508,7 +519,7 @@ def test_matcher_agrees_with_naive_on_mixed_classes_in_order():
 
 def test_match_in_class_with_noncanonical_id_agrees_with_naive():
     rng = random.Random(77)
-    patterns = [parse_pattern(text, MIXED) for text in MIXED_PATTERNS]
+    patterns = [parse_mixed(text) for text in MIXED_PATTERNS]
     stale = 0
     for _ in range(15):
         g, ids = random_mixed_egraph(rng)

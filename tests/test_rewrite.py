@@ -140,7 +140,9 @@ def test_unbound_applier_variable_rejected():
 def test_python_condition_variables_must_be_bound_by_lhs(condition):
     with pytest.raises(RewriteError, match=r"does not bind: \?y"):
         Rewrite.parse("r", "(* ?x 1)", "?x", MATH, [condition])
-    Rewrite.parse("r", "(* ?x ?y)", "?x", MATH, [condition])
+    # an iterator is read once for the check and still kept whole
+    rule = Rewrite.parse("r", "(* ?x ?y)", "?x", MATH, iter([condition]))
+    assert rule.conditions == (condition,)
 
 
 def test_capture_avoid_not_free_branch():

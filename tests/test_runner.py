@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -13,6 +14,7 @@ from eqsat import (
     check_equiv_batched,
     extract_best,
     parse_pattern,
+    parse_rules,
     parse_term,
     run,
     sym,
@@ -351,6 +353,31 @@ def test_rule_order_preserves_partition():
     assert len(signatures) == 1
 
 
+SWAP_WHEN_FOLDED = (
+    "fold-x: x => 5\n"
+    "swap-const: (- ?y ?z) => (- 0 (- ?z ?y)) if is-const ?y\n"
+)
+
+
+def test_conditional_rule_is_rule_order_and_strategy_invariant():
+    # `x` is not constant on the graph the iteration searched, so swap-const
+    # must not fire in it, whichever rule comes first and however merges
+    # are rebuilt
+    from eqsat.bench import partition_signature
+
+    rules = parse_rules(SWAP_WHEN_FOLDED, MATH)
+    signatures = set()
+    for order in (rules, rules[::-1]):
+        for eager in (False, True):
+            g = math_egraph(rebuild_after_merge=eager)
+            report = run(g, [term("(- x w)")], order,
+                         RunnerConfig(iter_limit=1, scheduler="every"))
+            assert report.iterations[0].rules["swap-const"].applied == 0
+            assert (g.n_nodes(), g.n_classes()) == (4, 3)
+            signatures.add(partition_signature(g, report.root_ids))
+    assert len(signatures) == 1
+
+
 def test_scheduler_objects_accepted():
     report = run(
         math_egraph(),
@@ -426,7 +453,10 @@ def test_conditional_rule_fires_when_its_condition_turns_true_later():
                  RunnerConfig(scheduler="every", iter_limit=10))
     fired = [it.index for it in report.iterations if it.rules["swap-if-flag"].applied]
     assert fired == [2]
-    assert all(it.rules["swap-if-flag"].skipped == 0 for it in report.iterations)
+    # a rejected instance is not stored, so nothing repeats until it fires
+    skipped = [it.rules["swap-if-flag"].skipped for it in report.iterations]
+    assert skipped[:3] == [0, 0, 0]
+    assert any(skipped[3:]), "the fired instance must be skipped when met again"
     swapped = g.lookup(ENode("*", (g.lookup(ENode(sym("b"), ())),
                                    g.lookup(ENode(sym("a"), ())))))
     assert swapped is not None and g.equiv(swapped, report.root_ids[0])
@@ -508,8 +538,8 @@ def test_node_limit_stop_leaves_unapplied_instances_unrecorded(monkeypatch):
             super().__init__(rules)
             memos.append(self)
 
-        def fresh(self, index, matches):
-            kept, skipped = super().fresh(index, matches)
+        def to_apply(self, egraph, index, rewrite, matches):
+            kept, skipped = super().to_apply(egraph, index, rewrite, matches)
             fresh_by_rule[index] = kept  # the last iteration's survive
             return kept, skipped
 
@@ -580,20 +610,40 @@ def test_substitution_dicts_are_made_only_for_applied_matches(monkeypatch, sched
         passed[0] += sum(len(m.substs) for m in matches)
         return apply(egraph, rewrite, matches)
 
+    checked, rejected = [0], [0]
+
+    def counting(condition):
+        def check(egraph, eclass, subst):
+            checked[0] += 1
+            holds = condition(egraph, eclass, subst)
+            rejected[0] += not holds
+            return holds
+
+        check.variables = condition.variables
+        return check
+
     monkeypatch.setattr(Rewrite, "search", counting_search)
     monkeypatch.setattr(runner_module, "apply_rewrite", counting_apply)
+    rules = [
+        dataclasses.replace(rw, conditions=tuple(map(counting, rw.conditions)))
+        for rw in math_rules()
+    ]
+    # one condition per rule at most: each check reads one dict
+    assert max(len(rw.conditions) for rw in rules) == 1
     banned = skipped = 0
     for text in DEFAULT_MATH_EXPRS:
         report = run(
-            math_egraph(), [term(text)], math_rules(),
+            math_egraph(), [term(text)], rules,
             RunnerConfig(iter_limit=8, node_limit=10**6, time_limit=600,
                          scheduler=scheduler),
         )
         stats = [st for it in report.iterations for st in it.rules.values()]
         banned += sum(st.banned for st in stats)
         skipped += sum(st.skipped for st in stats)
-    assert made[0] == passed[0] > 0
+    assert made[0] == passed[0] + checked[0]
+    assert passed[0] > 0 and checked[0] > 0
     assert skipped > 0
-    # what a ban drops is neither applied nor skipped, and builds no dict
-    dropped = found[0] - passed[0] - skipped
+    # what a ban drops is neither applied, skipped nor checked, and builds
+    # no dict
+    dropped = found[0] - passed[0] - skipped - rejected[0]
     assert (banned > 0) == (dropped > 0) == (scheduler == "backoff")
