@@ -3,7 +3,9 @@
 Patterns compile to a small instruction program that a backtracking
 virtual machine runs against the classes of a clean graph.  ``ematch`` runs
 it over every candidate class and returns the substitutions under which
-the pattern is represented there.
+the pattern is represented there.  The candidates of a pattern with a ground
+leaf are found by walking up from that leaf's class; the matches are sorted
+only when read.
 """
 from __future__ import annotations
 
@@ -66,9 +68,16 @@ class Compare(NamedTuple):
 
 @dataclass(frozen=True)
 class MatchProgram:
+    """A compiled pattern.  `anchor` is the ground leaf nearest the root
+    (first in breadth-first order) and `path` the ``(op, arity, child
+    position)`` steps from that leaf up to the root; a pattern whose root
+    is a variable or a leaf, or that has no ground leaf, has no anchor."""
+
     instructions: tuple
     var_regs: tuple[tuple[str, int], ...]  # (variable name, register), by name
     n_regs: int
+    anchor: Optional[Op] = None
+    path: tuple[tuple[Op, int, int], ...] = ()
 
 
 def compile_pattern(pattern: Pattern) -> MatchProgram:
@@ -77,7 +86,10 @@ def compile_pattern(pattern: Pattern) -> MatchProgram:
     var_regs: dict[str, int] = {}
     n_regs = 1
     todo: list[tuple[int, int]] = [(len(nodes) - 1, 0)]
-    for index, reg in todo:  # breadth-first: the loop visits what it appends
+    above: list[tuple[int, int]] = [(0, 0)]  # (parent's place in todo, child position)
+    leaf_at = 0
+    # breadth-first: the loop visits what it appends
+    for at, (index, reg) in enumerate(todo):
         op, kids = nodes[index]
         if is_var(op):
             if op.value in var_regs:
@@ -85,20 +97,42 @@ def compile_pattern(pattern: Pattern) -> MatchProgram:
             else:
                 var_regs[op.value] = reg
         else:
+            if not kids and not leaf_at:
+                leaf_at = at
             instructions.append(Bind(reg, op, len(kids), n_regs))
             for i, kid in enumerate(kids):
                 todo.append((kid, n_regs + i))
+                above.append((at, i))
             n_regs += len(kids)
-    return MatchProgram(tuple(instructions), tuple(sorted(var_regs.items())), n_regs)
+    anchor = nodes[todo[leaf_at][0]][0] if leaf_at else None
+    path = []
+    while leaf_at:  # from the anchor up to the root
+        leaf_at, position = above[leaf_at]
+        op, kids = nodes[todo[leaf_at][0]]
+        path.append((op, len(kids), position))
+    return MatchProgram(
+        tuple(instructions), tuple(sorted(var_regs.items())), n_regs, anchor, tuple(path)
+    )
 
 
 def run_program(
-    egraph: EGraph, program: MatchProgram, class_ids: Iterable[int]
+    egraph: EGraph,
+    program: MatchProgram,
+    candidates: Iterable[tuple[int, Sequence[ENode]]],
 ) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """Execute a match program against each given class of a clean graph;
-    returns ``(class id, matches)`` for the classes that match, where the
-    matches are distinct and sorted, each a tuple of class ids with one
-    slot per variable in ``program.var_regs`` order.
+    """Execute a match program on a clean graph.  Each candidate is a class
+    id and the distinct canonical nodes of that class that the root Bind
+    searches for its op: the class's sorted node list, or nodes that all
+    have the root op.  Returns ``(class id, matches)`` for the candidates
+    that match, each match a tuple of class ids with one slot per variable
+    in ``program.var_regs`` order.
+
+    The matches of a class are distinct, in no particular order.  No set
+    is needed: every node list the VM tries is deduplicated, and a canonical
+    node lives in one class, so a binding tuple rebuilds bottom-up the one
+    node each Bind picked (a leaf's node, or the op over the classes of its
+    children) and the class it sits in; two different paths through the
+    choices cannot give the same tuple.
 
     Every id the VM reads is already canonical in a clean graph, so it
     compares registers without ``find``.  Backtracking is an explicit stack
@@ -114,9 +148,9 @@ def run_program(
     classes, hashcons = egraph.classes, egraph.hashcons
     stack: list[list] = []
     results = []
-    for class_id in class_ids:
+    for class_id, roots in candidates:
         regs[0] = class_id
-        found: set[tuple[int, ...]] = set()
+        found: list[tuple[int, ...]] = []
         pc = 0
         while True:
             while pc < end:
@@ -129,7 +163,7 @@ def run_program(
                     if hashcons.get((ins.op, ())) != regs[ins.reg]:
                         break
                 else:
-                    nodes = classes[regs[ins.reg]].nodes
+                    nodes = classes[regs[ins.reg]].nodes if pc else roots
                     op = ins.op
                     lo, hi = 0, len(nodes)
                     while lo < hi:  # bisect the operator prefix; leaves compare high
@@ -151,11 +185,11 @@ def run_program(
                         kids = node.children
                         if len(kids) == arity:
                             regs[base : base + arity] = kids
-                            found.add(pick(regs))
+                            found.append(pick(regs))
                     break
                 pc += 1
             else:
-                found.add(pick(regs))
+                found.append(pick(regs))
             # resume the innermost Bind that has a node left to try
             while stack:
                 frame = stack[-1]
@@ -173,24 +207,60 @@ def run_program(
             else:
                 break
         if found:
-            results.append((class_id, sorted(found)))
+            results.append((class_id, found))
     return results
+
+
+def _anchored_roots(
+    egraph: EGraph, program: MatchProgram
+) -> list[tuple[int, list[ENode]]]:
+    """The classes, ascending, whose nodes can sit at the pattern's root
+    above its anchor leaf, each with those canonical root nodes: a walk up
+    the parent lists from the leaf's class along `program.path`.  Parent
+    lists may hold stale and repeated entries, hence ``find`` and the
+    deduplication."""
+    leaf_class = egraph.hashcons.get((program.anchor, ()))
+    if leaf_class is None:
+        return []
+    classes, find, canonicalize = egraph.classes, egraph.uf.find, egraph.canonicalize
+    level: dict = {leaf_class: None}
+    for op, arity, pos in program.path:
+        up: dict[int, dict[ENode, None]] = {}
+        for class_id in level:
+            for node, owner in classes[class_id].parents:
+                kids = node.children
+                if node.op == op and len(kids) == arity and find(kids[pos]) == class_id:
+                    up.setdefault(find(owner), {})[canonicalize(node)] = None
+        level = up
+    return [(class_id, list(level[class_id])) for class_id in sorted(level)]
 
 
 class Substitutions(Sequence):
     """A read-only list of substitutions kept as the VM's id tuples: one
     slot per name in `names`.  Reading an item builds its dict; ``len``
-    and the tuples themselves (`ids`) need none.  Compares equal to the
-    list of dicts it reads as."""
+    needs none.  Compares equal to the list of dicts it reads as.
 
-    __slots__ = ("names", "ids")
+    It owns the list it is given and sorts it in place the first time
+    `ids`, an item or an iteration is read; ``len`` never sorts, so a
+    caller that only counts (a backoff ban) pays for no sort."""
+
+    __slots__ = ("names", "_ids", "_sorted")
 
     def __init__(self, names: tuple[str, ...], ids: list[tuple[int, ...]]):
         self.names = names
-        self.ids = ids
+        self._ids = ids
+        self._sorted = False
+
+    @property
+    def ids(self) -> list[tuple[int, ...]]:
+        """The id tuples, sorted."""
+        if not self._sorted:
+            self._ids.sort()
+            self._sorted = True
+        return self._ids
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._ids)
 
     def __getitem__(self, index):
         names = self.names
@@ -226,15 +296,21 @@ def _var_names(program: MatchProgram) -> tuple[str, ...]:
 def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
     """Find every (substitution, class) pair where the pattern is
     represented: sound and complete up to canonicalization, read-only,
-    results sorted by class id, each class's substitutions sorted by their
-    class ids in variable-name order."""
+    results sorted by class id, each class's substitutions distinct and
+    sorted, as read, by their class ids in variable-name order.
+
+    A pattern with an anchor leaf starts from that leaf's class and walks
+    up to the root nodes above it; any other tries the root op's run in
+    every class that has the op (every class, for a variable)."""
     egraph.require_clean("ematch")
     program = pattern.program
-    root = pattern.nodes[-1][0]
-    if is_var(root):
-        candidates = egraph.class_ids()  # the class map ascends
+    if program.anchor is not None:
+        candidates = _anchored_roots(egraph, program)
     else:
-        candidates = egraph.classes_with_op(root)  # ascending when clean
+        root = pattern.nodes[-1][0]
+        class_ids = egraph.class_ids() if is_var(root) else egraph.classes_with_op(root)
+        classes = egraph.classes
+        candidates = [(c, classes[c].nodes) for c in class_ids]  # ascending when clean
     names = _var_names(program)
     return [
         SearchMatches(class_id, Substitutions(names, matches))
@@ -247,7 +323,8 @@ def match_in_class(egraph: EGraph, pattern: Pattern, class_id: int) -> list[dict
     in the order ``ematch`` gives them."""
     egraph.require_clean("match_in_class")
     program = pattern.program
-    found = run_program(egraph, program, [egraph.find(class_id)])
+    class_id = egraph.find(class_id)
+    found = run_program(egraph, program, [(class_id, egraph.classes[class_id].nodes)])
     return list(Substitutions(_var_names(program), found[0][1])) if found else []
 
 

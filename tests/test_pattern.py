@@ -73,11 +73,12 @@ def test_substitutions_view_reads_as_the_list_of_dicts():
     pattern = parse_pattern("(+ ?x (* ?y ?z))", MATH)
     names = [name for name, _ in pattern.program.var_regs]
     found = ematch(g, pattern)
-    vm = dict(pattern_module.run_program(g, pattern.program, [m.eclass for m in found]))
+    roots = [(m.eclass, g.classes[m.eclass].nodes) for m in found]
+    vm = dict(pattern_module.run_program(g, pattern.program, roots))
     assert max(len(m.substs) for m in found) >= 3
     for m in found:
         substs = m.substs
-        expected = [dict(zip(names, ids)) for ids in vm[m.eclass]]
+        expected = [dict(zip(names, ids)) for ids in sorted(vm[m.eclass])]
         assert not isinstance(substs, list)
         assert len(substs) == len(expected)
         assert substs == expected and expected == substs
@@ -436,6 +437,92 @@ def test_compile_order_is_breadth_first():
         Bind(8, num(1), 0, 9),
     )
     assert program.var_regs == (("?a", 3), ("?b", 7)) and program.n_regs == 9
+
+
+def test_compile_records_the_leaf_nearest_the_root_and_its_path():
+    program = compile_pattern(parse_pattern("(+ (* ?a 2) (/ (- ?b 1) ?a))", MATH))
+    assert program.anchor == num(2)
+    assert program.path == (("*", 2, 1), ("+", 2, 0))
+    program = compile_pattern(parse_pattern("(* (* ?a 2) ?c)", MATH))
+    assert program.anchor == num(2) and program.path == (("*", 2, 1), ("*", 2, 0))
+    for text in ("?x", "2", "(+ ?x ?y)", "(* (+ ?x ?y) ?z)"):
+        assert compile_pattern(parse_pattern(text, MATH)).anchor is None, text
+
+
+def _root_nodes_handed(monkeypatch):
+    """Patch run_program to count the root nodes its candidates hand it."""
+    handed = []
+    original = pattern_module.run_program
+
+    def counting(egraph, program, candidates):
+        candidates = list(candidates)
+        handed.append(sum(len(nodes) for _, nodes in candidates))
+        return original(egraph, program, candidates)
+
+    monkeypatch.setattr(pattern_module, "run_program", counting)
+    return handed
+
+
+def test_anchored_search_hands_the_vm_only_the_nodes_above_the_leaf(monkeypatch):
+    n, k = 60, 4
+    g = EGraph()
+    products = [g.add_term(parse_term(f"(* a{i} b{i})", MATH)) for i in range(n - k)]
+    products += [g.add_term(parse_term(f"(* x{i} 2)", MATH)) for i in range(k)]
+    for i in range(0, n, 2):  # classes that hold several `*` nodes
+        g.merge(products[i], products[i + 1])
+    g.rebuild()
+    assert g.n_nodes() - n == 2 * (n - k) + k + 1  # the leaves
+    handed = _root_nodes_handed(monkeypatch)
+    anchored = parse_pattern("(* ?x 2)", MATH)
+    found = ematch(g, anchored)
+    assert handed == [k]
+    assert sum(len(m.substs) for m in found) == k
+    assert _listing(found) == _listing(naive_ematch(g, anchored))
+    ematch(g, parse_pattern("(* ?x ?y)", MATH))  # no ground leaf: every `*` node
+    assert handed == [k, n]
+    # the root Bind tries the nodes it is handed, not the whole class
+    program = parse_pattern("(* ?x ?y)", MATH).program
+    node = g.classes[g.find(products[0])].nodes[-1]
+    found = pattern_module.run_program(g, program, [(g.find(products[0]), [node])])
+    assert found == [(g.find(products[0]), [node.children])]
+
+
+def test_anchor_leaf_in_a_merged_class_agrees_with_naive():
+    g = EGraph()
+    for text in ("(* y 2)", "(* z (+ 1 1))", "(* (+ 1 1) 2)", "(+ 2 (* w 1))"):
+        g.add_term(parse_term(text, MATH))
+    two = g.lookup(ENode(num(2), ()))
+    g.merge(two, g.add_term(parse_term("(+ 1 1)", MATH)))
+    g.rebuild()
+    for text in ("(* ?x 2)", "(* 2 ?x)", "(* ?x (+ 1 1))", "(+ 2 (* ?x 1))", "(* (+ ?a 1) 2)"):
+        pattern = parse_pattern(text, MATH)
+        found = _listing(ematch(g, pattern))
+        assert found == _listing(naive_ematch(g, pattern)), text
+        assert found, text
+    # `(* z (+ 1 1))` reaches the anchor only through the merged class
+    z = g.lookup(ENode(sym("z"), ()))
+    product = g.lookup(ENode("*", (z, g.find(two))))
+    assert (product, [{"?x": z}]) in _listing(ematch(g, parse_pattern("(* ?x 2)", MATH)))
+
+
+def test_substitutions_sort_on_first_read_and_len_does_not():
+    unsorted = [(3, 1), (1, 2), (2, 0), (1, 1)]
+    names = ("?a", "?b")
+    expected = [dict(zip(names, ids)) for ids in sorted(unsorted)]
+    reads = {
+        "ids": lambda s: s.ids == sorted(unsorted),
+        "item": lambda s: [s[i] for i in range(4)] == expected,
+        "slice": lambda s: s[:] == expected,
+        "iteration": lambda s: list(s) == expected,
+        "==": lambda s: s == expected,
+        "repr": lambda s: repr(s) == repr(expected),
+    }
+    for read, reads_sorted in reads.items():
+        ids = list(unsorted)
+        substs = pattern_module.Substitutions(names, ids)
+        assert len(substs) == 4 and ids == unsorted, read  # len does not sort
+        assert reads_sorted(substs), read
+        assert ids == sorted(unsorted), read  # sorted in place: it owns the list
 
 
 UNARY = LanguageDef("unary", {"f": 1}, frozenset({"sym"}))
