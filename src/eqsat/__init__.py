@@ -49,7 +49,6 @@ from .pattern import (
 from .rewrite import (
     Applier,
     ConditionEqual,
-    DynamicApplier,
     PatternApplier,
     Rewrite,
     apply_rewrite,
@@ -83,7 +82,6 @@ __all__ = [
     "ConditionEqual",
     "ConstantOverflow",
     "DirtyGraphError",
-    "DynamicApplier",
     "EClass",
     "EGraph",
     "ENode",

@@ -23,7 +23,8 @@ from ..language import LanguageDef, Leaf, Term, boolean, num, sym
 from ..pattern import apply_subst, parse_pattern
 from ..rewrite import (
     Applier,
-    PatternApplier,
+    Condition,
+    ConditionEqual,
     Rewrite,
     is_const,
     is_not_same_var,
@@ -137,80 +138,70 @@ def make_egraph(rebuild_after_merge=False) -> EGraph:
     return EGraph(LamAnalysis(), rebuild_after_merge=rebuild_after_merge)
 
 
-class ApplyWhenInstantiationsEqual(Applier):
-    """Fires only once two instantiated probe terms land in the same class.
+def binder_free_in(v: str, e: str, holds: bool = True) -> Condition:
+    """Whether a symbol of class `v` may be free in class `e` (read from the
+    analysis), compared with `holds`: a `let` pushed under a `lam` binding
+    such a symbol must rename the binder first."""
 
-    The probes are added to the graph (appliers run in the write phase, so
-    mutation is fine); later iterations evaluate them, and when the graph
-    can prove them equal the inner pattern is unified with the match.
-    Probing by lookup alone would never fire: nothing else builds these
-    terms.
-    """
+    def cond(egraph, eclass, subst):
+        free = egraph[subst[e]].data.free
+        return bool(egraph[subst[v]].data.symbols & free) == holds
 
-    def __init__(self, p1: str, p2: str, inner: str):
-        self.p1 = parse_pattern(p1, LAMBDA)
-        self.p2 = parse_pattern(p2, LAMBDA)
-        self.inner = PatternApplier(parse_pattern(inner, LAMBDA))
-
-    def apply_one(self, egraph, eclass, subst):
-        a = apply_subst(self.p1, subst, egraph)
-        b = apply_subst(self.p2, subst, egraph)
-        if egraph.find(a) != egraph.find(b):
-            return []
-        return self.inner.apply_one(egraph, eclass, subst)
-
-    def pattern_vars(self):
-        seen = dict.fromkeys(
-            self.p1.vars() + self.p2.vars() + self.inner.pattern_vars()
-        )
-        return tuple(seen)
+    cond.variables = (v, e)
+    return cond
 
 
-class CaptureAvoidingSubst(Applier):
-    """Dynamic right-hand side for pushing a `let` under a differently
-    named `lam`.  When the lambda's binder is free in the substituted
-    expression, the binder is first renamed to a fresh symbol (named after
-    the matched class id, so deterministic); otherwise the plain pattern
-    applies."""
+class RenameBinder(Applier):
+    """Instantiates `rhs` with `fresh` bound to a new symbol named after the
+    matched class id (so deterministic)."""
 
-    def __init__(self, fresh: str, v2: str, e: str, if_not_free: str, if_free: str):
+    def __init__(self, fresh: str, rhs: str):
         self.fresh = fresh
-        self.v2 = v2
-        self.e = e
-        self.if_not_free = parse_pattern(if_not_free, LAMBDA)
-        self.if_free = parse_pattern(if_free, LAMBDA)
+        self.rhs = parse_pattern(rhs, LAMBDA)
 
     def apply_one(self, egraph, eclass, subst):
-        if egraph[subst[self.v2]].data.symbols & egraph[subst[self.e]].data.free:
-            fresh_id = egraph.add_leaf(sym(f"_{eclass}"))
-            extended = dict(subst)
-            extended[self.fresh] = fresh_id
-            return PatternApplier(self.if_free).apply_one(egraph, eclass, extended)
-        return PatternApplier(self.if_not_free).apply_one(egraph, eclass, subst)
+        extended = {**subst, self.fresh: egraph.add_leaf(sym(f"_{eclass}"))}
+        return [apply_subst(self.rhs, extended, egraph)]
 
     def pattern_vars(self):
-        needed = set(self.if_not_free.vars()) | set(self.if_free.vars())
-        return tuple(needed - {self.fresh})
+        return tuple(v for v in self.rhs.vars() if v != self.fresh)
 
     def fresh_vars(self):
         return (self.fresh,)
+
+
+class AddProbes(Applier):
+    """Adds the instantiated probe terms and merges nothing with the match.
+    Later iterations evaluate them, and a sibling rule's `ConditionEqual` on
+    the same patterns sees when the graph proves them equal; a lookup alone
+    would never see them, as nothing else builds these terms."""
+
+    def __init__(self, *probes: str):
+        self.probes = tuple(parse_pattern(p, LAMBDA) for p in probes)
+
+    def apply_one(self, egraph, eclass, subst):
+        for probe in self.probes:
+            apply_subst(probe, subst, egraph)
+        return []
+
+    def pattern_vars(self):
+        return tuple(dict.fromkeys(v for p in self.probes for v in p.vars()))
 
 
 def lambda_rules() -> list[Rewrite]:
     def rw(name, lhs, rhs, *conditions):
         return Rewrite.parse(name, lhs, rhs, LAMBDA, conditions)
 
+    # a choice is a pair of rules on one left-hand side, told apart by conditions
+    branch = "(if (= (var ?x) ?e) ?then ?else)"
+    probes = ("(let ?x ?e ?then)", "(let ?x ?e ?else)")
+    under_lam = "(let ?v1 ?e (lam ?v2 ?body))"
     return [
         # open-term rules
         rw("if-true", "(if true ?then ?else)", "?then"),
         rw("if-false", "(if false ?then ?else)", "?else"),
-        Rewrite(
-            "if-elim",
-            parse_pattern("(if (= (var ?x) ?e) ?then ?else)", LAMBDA),
-            ApplyWhenInstantiationsEqual(
-                "(let ?x ?e ?then)", "(let ?x ?e ?else)", "?else"
-            ),
-        ),
+        rw("if-elim", branch, "?else", ConditionEqual.parse(*probes, LAMBDA)),
+        Rewrite("if-elim-probe", parse_pattern(branch, LAMBDA), AddProbes(*probes)),
         rw("add-comm", "(+ ?a ?b)", "(+ ?b ?a)"),
         rw("add-assoc", "(+ (+ ?a ?b) ?c)", "(+ ?a (+ ?b ?c))"),
         rw("eq-comm", "(= ?a ?b)", "(= ?b ?a)"),
@@ -236,17 +227,18 @@ def lambda_rules() -> list[Rewrite]:
             is_not_same_var("?v1", "?v2"),
         ),
         rw("let-lam-same", "(let ?v1 ?e (lam ?v1 ?body))", "(lam ?v1 ?body)"),
-        Rewrite(
+        rw(
             "let-lam-diff",
-            parse_pattern("(let ?v1 ?e (lam ?v2 ?body))", LAMBDA),
-            CaptureAvoidingSubst(
-                fresh="?fresh",
-                v2="?v2",
-                e="?e",
-                if_not_free="(lam ?v2 (let ?v1 ?e ?body))",
-                if_free="(lam ?fresh (let ?v1 ?e (let ?v2 (var ?fresh) ?body)))",
-            ),
-            (is_not_same_var("?v1", "?v2"),),
+            under_lam,
+            "(lam ?v2 (let ?v1 ?e ?body))",
+            is_not_same_var("?v1", "?v2"),
+            binder_free_in("?v2", "?e", holds=False),
+        ),
+        Rewrite(
+            "let-lam-rename",
+            parse_pattern(under_lam, LAMBDA),
+            RenameBinder("?fresh", "(lam ?fresh (let ?v1 ?e (let ?v2 (var ?fresh) ?body)))"),
+            (is_not_same_var("?v1", "?v2"), binder_free_in("?v2", "?e")),
         ),
     ]
 

@@ -1,10 +1,9 @@
 """Named rewrite rules: a searcher pattern, an applier and conditions.
 
-Appliers come in two flavors: purely syntactic patterns, and dynamic
-procedures that compute their right-hand side from analysis data.  A rule's
-conditions are read-only tests of a match; the runner decides them in the
-read phase, on the clean graph the match was found in, so no merge of the
-same iteration can change their answer.
+A rule's conditions are read-only tests of a match, and they make every
+decision the rule takes; the runner decides them in the read phase, on the
+clean graph the match was found in, so no merge of the same iteration can
+change their answer.  An applier only instantiates what a kept match says.
 """
 from __future__ import annotations
 
@@ -28,6 +27,14 @@ Condition = Callable[[EGraph, int, dict], bool]
 
 
 class Applier:
+    """Gives the class ids a kept match's class is merged with.
+
+    `apply_one` only instantiates: it may add nodes, but its result is a
+    function of the matched class id and the substitution alone, and it
+    reads no class data and no union-find state.  So a run applies each
+    instance once, and the write phase cannot change what a rule decides.
+    """
+
     def apply_one(self, egraph: EGraph, eclass: int, subst: dict) -> list[int]:
         raise NotImplementedError
 
@@ -49,21 +56,6 @@ class PatternApplier(Applier):
 
     def pattern_vars(self):
         return self.pattern.vars()
-
-
-@dataclass
-class DynamicApplier(Applier):
-    """Wraps a procedure (egraph, eclass, subst) -> list of class ids to be
-    unified with the matched class."""
-
-    fn: Callable[[EGraph, int, dict], list[int]]
-    needs: tuple[str, ...] = ()
-
-    def apply_one(self, egraph, eclass, subst):
-        return self.fn(egraph, eclass, subst)
-
-    def pattern_vars(self):
-        return self.needs
 
 
 @dataclass
@@ -172,9 +164,10 @@ class Rewrite:
 def apply_rewrite(
     egraph: EGraph, rewrite: Rewrite, matches: list[SearchMatches]
 ) -> int:
-    """Apply previously collected matches, whose conditions were decided
-    when they were collected; returns how many substitutions performed at
-    least one new union.  May leave the graph dirty."""
+    """Apply previously collected matches; returns how many substitutions
+    performed at least one new union.  May leave the graph dirty.  It
+    decides no condition: a caller passing `Rewrite.search` output must
+    first drop the matches whose conditions do not hold."""
     applied = 0
     for eclass, substs in matches:
         for subst in substs:

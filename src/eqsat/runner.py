@@ -3,11 +3,10 @@
 Each iteration searches every (unbanned) rule against a clean graph and
 decides the matches' conditions there, applies the kept matches in a write
 phase that may temporarily break invariants, and restores the invariants
-with a single rebuild.  Splitting the phases makes the result of pattern
-rules invariant to rule order (dynamic appliers still read the graph in the
-write phase) and lets the rebuild be deferred safely.  A pattern rule's
-match whose canonical ids repeat an instance the run already applied is not
-applied again.
+with a single rebuild.  Appliers only instantiate, so splitting the phases
+makes the result invariant to rule order and lets the rebuild be deferred
+safely.  A match whose canonical ids repeat an instance the run already
+applied is not applied again.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from .analysis import AnalysisError
 from .egraph import EGraph
 from .language import Term
 from .pattern import SearchMatches, Substitutions
-from .rewrite import PatternApplier, Rewrite, apply_rewrite
+from .rewrite import Rewrite, apply_rewrite
 
 
 class StopReason(Enum):
@@ -118,22 +117,20 @@ class RuleStats:
 
 
 class _AppliedInstances:
-    """The instances a run has applied, per rule whose applier is exactly a
-    `PatternApplier`, with or without conditions: ``(class id,
+    """The instances a run has applied, per rule: ``(class id,
     *substitution ids)``, the ids read from the `Substitutions` tuples
     (variable-name order), so no dict is built.
 
-    The graph only grows and congruence holds at every clean point, so an
-    instance applied once has its right-hand side in the matched class
-    from then on; met again with the same canonical ids, it can add no node
-    and make no union.  A key made stale by a merge only misses.  What a
-    condition rejected is not stored, as the condition can turn true later;
-    dynamic appliers are never skipped: a procedure can give a new answer."""
+    An applier's result depends on the class id and the substitution alone,
+    the graph only grows, and congruence holds at every clean point: so an
+    instance applied once keeps what it added, merged with the matched
+    class; met again with the same canonical ids, it can add no node and
+    make no union.  A key made stale by a merge only misses.  What a
+    condition rejected is not stored, as the condition can turn true
+    later."""
 
     def __init__(self, rules: Sequence[Rewrite]):
-        self.seen = [
-            set() if type(rw.applier) is PatternApplier else None for rw in rules
-        ]
+        self.seen = [set() for _ in rules]
 
     def to_apply(self, egraph: EGraph, index: int, rewrite: Rewrite, matches):
         """The matches of rule `index`, `rewrite`, not applied before and
@@ -143,7 +140,7 @@ class _AppliedInstances:
         for eclass, substs in matches:
             new = []
             for i, ids in enumerate(substs.ids):
-                if seen is not None and (eclass, *ids) in seen:
+                if (eclass, *ids) in seen:
                     skipped += 1
                     continue
                 if conditions:
@@ -157,11 +154,9 @@ class _AppliedInstances:
 
     def record(self, index: int, matches: list[SearchMatches]) -> None:
         """Call only once the matches have been passed to `apply_rewrite`."""
-        seen = self.seen[index]
-        if seen is not None:
-            seen.update(
-                (eclass, *ids) for eclass, substs in matches for ids in substs.ids
-            )
+        self.seen[index].update(
+            (eclass, *ids) for eclass, substs in matches for ids in substs.ids
+        )
 
 
 @dataclass

@@ -413,6 +413,21 @@ def reference_cost_table(egraph: EGraph, cost_fn) -> dict:
     return costs
 
 
+def kept_matches(egraph: EGraph, rule, matches):
+    """The matches whose conditions all hold on the clean graph, as
+    ``(class id, substitutions)`` pairs: what `apply_rewrite` may be
+    given, since it decides no condition itself."""
+    kept = []
+    for eclass, substs in matches:
+        holding = [
+            subst for subst in substs
+            if all(cond(egraph, eclass, subst) for cond in rule.conditions)
+        ]
+        if holding:
+            kept.append((eclass, holding))
+    return kept
+
+
 def run_without_memo(egraph: EGraph, roots, rules, iter_limit: int, scheduler="every"):
     """The saturation loop with no memo: every match the scheduler keeps
     whose conditions hold on the clean graph goes through `apply_rewrite`,
@@ -434,13 +449,7 @@ def run_without_memo(egraph: EGraph, roots, rules, iter_limit: int, scheduler="e
                 continue
             matches, banned = scheduler.filter_matches(iteration, rw, rw.search(egraph))
             any_banned = any_banned or banned
-            holding = []
-            for eclass, substs in matches:
-                holding.append((eclass, [
-                    subst for subst in substs
-                    if all(cond(egraph, eclass, subst) for cond in rw.conditions)
-                ]))
-            collected.append((rw, holding))
+            collected.append((rw, kept_matches(egraph, rw, matches)))
         for rw, matches in collected:
             apply_rewrite(egraph, rw, matches)
         egraph.rebuild()

@@ -1,6 +1,8 @@
 import random
 import re
 
+import pytest
+
 from eqsat import (
     ENode,
     Extractor,
@@ -17,6 +19,7 @@ from eqsat import (
     run,
     sym,
 )
+from eqsat.bench import partition_signature
 from eqsat.language import Leaf
 from eqsat.rewrite import apply_rewrite
 from eqsat.domains.lam import (
@@ -26,7 +29,7 @@ from eqsat.domains.lam import (
     make_egraph,
 )
 
-from helpers import enumerate_terms
+from helpers import enumerate_terms, kept_matches
 
 
 def saturate(text, config=None):
@@ -39,10 +42,15 @@ def saturate(text, config=None):
     return report
 
 
+def lambda_rule(name):
+    return next(r for r in lambda_rules() if r.name == name)
+
+
 def test_rule_inventory():
     names = [r.name for r in lambda_rules()]
-    assert len(names) == 17 and len(set(names)) == 17
+    assert len(names) == 19 and len(set(names)) == 19
     assert "beta" in names and "let-lam-diff" in names and "fix" in names
+    assert "let-lam-rename" in names and "if-elim-probe" in names
 
 
 def test_subst_operator_exists_but_unused():
@@ -253,8 +261,9 @@ def test_capture_avoidance_renames_under_merged_binder():
     g = make_egraph()
     root = g.add_term(parse_term("(let a (var w) (lam y (var a)))", LAMBDA))
     merge_symbols(g, "y", "w")
-    rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
-    assert apply_rewrite(g, rule, rule.search(g)) == 1
+    diff, rename = lambda_rule("let-lam-diff"), lambda_rule("let-lam-rename")
+    assert diff.search(g) and kept_matches(g, diff, diff.search(g)) == []
+    assert apply_rewrite(g, rename, kept_matches(g, rename, rename.search(g))) == 1
     g.rebuild()
     assert g.invariant_check() == []
     assert capture_renamed(g, root)
@@ -263,8 +272,9 @@ def test_capture_avoidance_renames_under_merged_binder():
 def test_capture_avoidance_skips_rename_when_binder_not_free():
     g = make_egraph()
     root = g.add_term(parse_term("(let a (var w) (lam y (var a)))", LAMBDA))
-    rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
-    assert apply_rewrite(g, rule, rule.search(g)) == 1
+    diff, rename = lambda_rule("let-lam-diff"), lambda_rule("let-lam-rename")
+    assert rename.search(g) and kept_matches(g, rename, rename.search(g)) == []
+    assert apply_rewrite(g, diff, kept_matches(g, diff, diff.search(g))) == 1
     g.rebuild()
     assert not capture_renamed(g, root)
 
@@ -316,14 +326,38 @@ def _program(rng: random.Random, ty: str, env: dict, depth: int) -> str:
     return f"(let {a} {sub('int')} (let {b} (var {a}) (app (lam {a} {body}) {sub('int')})))"
 
 
+def random_branch_program(rng: random.Random) -> str:
+    """A closed int program around ``(if (= (var a) e) then else)``, where
+    ``e`` reads no ``a``.  Mostly ``else`` is ``then`` with some reads of
+    ``a`` replaced by ``e``, so the probes ``(let a e then)`` and
+    ``(let a e else)`` meet and if-elim fires; otherwise ``else`` is drawn
+    on its own."""
+    e = rng.choice(("(var b)", str(rng.randint(0, 3)), f"(+ (var b) {rng.randint(0, 3)})"))
+    then = [rng.choice(("(var a)", "(var a)", "(var b)", str(rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.75:
+        other = [e if t == "(var a)" and rng.random() < 0.5 else t for t in then]
+    else:
+        other = [rng.choice(("(var a)", "(var b)", str(rng.randint(0, 3)))) for _ in then]
+
+    def total(parts):
+        return parts[0] if len(parts) == 1 else f"(+ {total(parts[:-1])} {parts[-1]})"
+
+    branch = f"(if (= (var a) {e}) {total(then)} {total(other)})"
+    return f"(let a {rng.randint(0, 3)} (let b {rng.randint(0, 3)} {branch}))"
+
+
 def test_lambda_soundness_fuzz():
     # every program keeps its value through saturation: the root's
     # cheapest and shallowest members evaluate to the input's value
     rng = random.Random(8)
     programs = ["(let y 5 (let x (var y) (app (lam y (var x)) 1)))"]
     programs += [random_closed_program(rng, rng.randint(1, 3)) for _ in range(250)]
+    branch_rng = random.Random(20)
+    branches = [random_branch_program(branch_rng) for _ in range(40)]
     config = RunnerConfig(iter_limit=6, node_limit=1000)
-    for text in programs:
+    if_elim_fired = 0
+    for text in programs + branches:
         term = parse_term(text, LAMBDA)
         expected = eval_closed(term)
         report = run(make_egraph(), [term], lambda_rules(), config)
@@ -334,5 +368,50 @@ def test_lambda_soundness_fuzz():
             best, _ = Extractor(report.egraph, cost_fn).best(report.root_ids[0])
             value = eval_closed(best)
             assert (type(value), value) == (type(expected), expected), (text, str(best))
+        if text in branches:
+            if_elim_fired += sum(it.rules["if-elim"].applied for it in report.iterations)
     capture = re.compile(r"\(let (\w) \(var (\w)\) \(app \(lam \2 ")
     assert sum(bool(capture.search(text)) for text in programs) >= 40
+    assert if_elim_fired > 0
+
+
+# ----------------------------------------------------------------------
+# deferred and eager rebuilding, and every rule order, reach one e-graph
+
+COMPOSE_2 = (
+    "(app (app (lam f (lam g (lam x (app (var f) (app (var g) (var x))))))"
+    " (lam y (+ (var y) 1))) (lam y (+ (var y) 2)))"
+)
+ONE_GRAPH_PROGRAMS = [
+    COMPOSE_2,
+    f"(app {COMPOSE_2} 5)",
+    "(if (= (var a) (var b)) (+ (var a) (var a)) (+ (var a) (var b)))",
+]
+
+
+def saturated(text, rules, scheduler, eager=False):
+    """Partition, extracted term, iteration count and node count."""
+    g = make_egraph(rebuild_after_merge=eager)
+    report = run(g, [parse_term(text, LAMBDA)], rules, RunnerConfig(scheduler=scheduler))
+    best, _ = extract_best(g, report.root_ids[0])
+    return partition_signature(g, report.root_ids), str(best), len(report.iterations), g.n_nodes()
+
+
+ONE_GRAPH_IDS = ["compose", "compose-applied", "branch"]
+
+
+@pytest.mark.parametrize("scheduler", ["every", "backoff"])
+@pytest.mark.parametrize("text", ONE_GRAPH_PROGRAMS, ids=ONE_GRAPH_IDS)
+def test_eager_and_deferred_rebuilding_reach_one_lambda_egraph(text, scheduler):
+    # no applier reads the graph in the write phase, where eager has
+    # rebuilt and deferred has not
+    rules = lambda_rules()
+    assert saturated(text, rules, scheduler) == saturated(text, rules, scheduler, eager=True)
+
+
+@pytest.mark.parametrize("text", ONE_GRAPH_PROGRAMS, ids=ONE_GRAPH_IDS)
+def test_lambda_rule_order_keeps_iterations_and_partition(text):
+    # fresh binders are named after class ids, so extracted names may differ
+    forward = saturated(text, lambda_rules(), "every")
+    backward = saturated(text, lambda_rules()[::-1], "every")
+    assert (forward[0], forward[2]) == (backward[0], backward[2])

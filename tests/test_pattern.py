@@ -11,6 +11,7 @@ import eqsat.pattern as pattern_module
 from eqsat import (
     Applier,
     ArityError,
+    ConditionEqual,
     DirtyGraphError,
     EGraph,
     ENode,
@@ -342,14 +343,17 @@ def test_run_uses_patterns_compiled_at_construction(monkeypatch):
 
 
 def _rule_patterns(rule):
-    """The searcher and every pattern its applier holds, however nested."""
-    found, todo = [rule.searcher], [rule.applier]
+    """The searcher and every pattern its applier and its conditions hold,
+    however nested, in tuples too."""
+    found, todo = [], [rule.searcher, rule.applier, rule.conditions]
     while todo:
-        for value in vars(todo.pop()).values():
-            if isinstance(value, Pattern):
-                found.append(value)
-            elif isinstance(value, Applier):
-                todo.append(value)
+        value = todo.pop()
+        if isinstance(value, Pattern):
+            found.append(value)
+        elif isinstance(value, tuple):
+            todo.extend(value)
+        elif isinstance(value, (Applier, ConditionEqual)):
+            todo.extend(vars(value).values())
     return found
 
 

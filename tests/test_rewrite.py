@@ -19,6 +19,12 @@ from eqsat.rewrite import (
 from eqsat.domains.lam import LAMBDA, lambda_rules, make_egraph as lam_egraph
 from eqsat.domains.math import MATH, make_egraph as math_egraph
 
+from helpers import kept_matches
+
+
+def lambda_rule(name):
+    return next(r for r in lambda_rules() if r.name == name)
+
 
 def test_search_counts_matches():
     g = math_egraph()
@@ -41,7 +47,7 @@ def test_beta_matches_inner_application():
     g = lam_egraph()
     g.add_term(parse_term("(lam x (+ 4 (app (lam y (var y)) 4)))", LAMBDA))
     g.rebuild()
-    beta = next(r for r in lambda_rules() if r.name == "beta")
+    beta = lambda_rule("beta")
     matches = beta.search(g)
     assert sum(len(m.substs) for m in matches) == 1
 
@@ -99,7 +105,7 @@ def test_conditions_never_mutate():
     g.add_term(parse_term("(let x (+ 1 2) (if (= (var x) 3) 1 0))", LAMBDA))
     g.rebuild()
     cond = ConditionEqual.parse("(let ?x ?e ?then)", "(let ?x ?e ?else)", LAMBDA)
-    rule = next(r for r in lambda_rules() if r.name == "if-elim")
+    rule = lambda_rule("if-elim")
     matches = rule.search(g)
     before = (g.n_nodes(), g.n_classes(), g.union_count)
     for m in matches:
@@ -149,8 +155,9 @@ def test_capture_avoid_not_free_branch():
     # y is not free in 4: the let dives under the lambda unchanged
     g = lam_egraph()
     root = g.add_term(parse_term("(let x 4 (lam y (var y)))", LAMBDA))
-    rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
-    applied = apply_rewrite(g, rule, rule.search(g))
+    diff, rename = lambda_rule("let-lam-diff"), lambda_rule("let-lam-rename")
+    assert rename.search(g) and kept_matches(g, rename, rename.search(g)) == []
+    applied = apply_rewrite(g, diff, kept_matches(g, diff, diff.search(g)))
     g.rebuild()
     assert applied == 1
     expected = g.add_term(parse_term("(lam y (let x 4 (var y)))", LAMBDA))
@@ -162,8 +169,9 @@ def test_capture_avoid_free_branch_renames():
     # y IS free in (var y): the binder must be renamed before substitution
     g = lam_egraph()
     root = g.add_term(parse_term("(let x (var y) (lam y (var x)))", LAMBDA))
-    rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
-    applied = apply_rewrite(g, rule, rule.search(g))
+    diff, rename = lambda_rule("let-lam-diff"), lambda_rule("let-lam-rename")
+    assert diff.search(g) and kept_matches(g, diff, diff.search(g)) == []
+    applied = apply_rewrite(g, rename, kept_matches(g, rename, rename.search(g)))
     g.rebuild()
     assert applied == 1
     fresh_name = f"_{g.find(root)}"
@@ -180,8 +188,8 @@ def test_capture_avoid_free_branch_renames():
 def test_capture_avoid_fresh_symbol_deterministic():
     g = lam_egraph()
     root = g.add_term(parse_term("(let x (var y) (lam y (var x)))", LAMBDA))
-    rule = next(r for r in lambda_rules() if r.name == "let-lam-diff")
-    apply_rewrite(g, rule, rule.search(g))
+    rule = lambda_rule("let-lam-rename")
+    apply_rewrite(g, rule, kept_matches(g, rule, rule.search(g)))
     g.rebuild()
     assert g.lookup(ENode(sym(f"_{g.find(root)}"), ())) is not None
 

@@ -23,7 +23,7 @@ import eqsat.pattern as pattern_module
 import eqsat.rewrite as rewrite_module
 import eqsat.runner as runner_module
 from eqsat.bench import DEFAULT_MATH_EXPRS
-from eqsat.rewrite import DynamicApplier, PatternApplier
+from eqsat.rewrite import Applier, PatternApplier
 from eqsat.runner import EveryRuleScheduler, RunnerState
 from eqsat.domains.math import (
     MATH,
@@ -462,30 +462,28 @@ def test_conditional_rule_fires_when_its_condition_turns_true_later():
     assert swapped is not None and g.equiv(swapped, report.root_ids[0])
 
 
-def test_dynamic_applier_called_for_every_match_every_iteration():
+def test_non_pattern_applier_applies_each_instance_once():
+    # any applier's result is a function of the class id and the
+    # substitution, so the memo skips its repeats as it does a pattern's
     calls = []
-    starts = []
 
-    def procedure(egraph, eclass, subst):
-        calls.append((eclass, tuple(sorted(subst.items()))))
-        return []
+    class Swap(Applier):
+        def apply_one(self, egraph, eclass, subst):
+            calls.append((eclass, subst["?x"], subst["?y"]))
+            return [egraph.add(ENode("+", (subst["?y"], subst["?x"])))]
 
-    watch = Rewrite("watch-add", parse_pattern("(+ ?x ?y)", MATH), DynamicApplier(procedure))
+        def pattern_vars(self):
+            return ("?x", "?y")
 
-    def note_iteration(state):
-        starts.append(len(calls))
-        return False
-
-    report = run(
-        math_egraph(), [term("(/ (* (+ a b) 2) 2)")], math_rules() + [watch],
-        RunnerConfig(scheduler="every", iter_limit=5, hooks=(note_iteration,)),
-    )
-    starts.append(len(calls))
-    per_iteration = [b - a for a, b in zip(starts, starts[1:])]
-    searched = [it.rules["watch-add"].searched for it in report.iterations]
-    assert per_iteration[: len(searched)] == searched
-    assert len(set(calls)) < len(calls), "some matches must repeat"
-    assert all(it.rules["watch-add"].skipped == 0 for it in report.iterations)
+    swap = Rewrite("swap-add", parse_pattern("(+ ?x ?y)", MATH), Swap())
+    g = math_egraph()
+    report = run(g, [term("(+ a b)")], [swap], RunnerConfig(scheduler="every"))
+    # iteration 0 applies (a, b); iteration 1 finds (a, b) again and (b, a)
+    stats = [it.rules["swap-add"] for it in report.iterations]
+    assert [(st.searched, st.skipped, st.applied) for st in stats] == [(1, 0, 1), (2, 1, 0)]
+    a, b = (g.lookup(ENode(sym(name), ())) for name in "ab")
+    assert calls[0] == (report.root_ids[0], a, b)
+    assert len(calls) == 2 and len(set(calls)) == 2
 
 
 def _count_apply_subst(monkeypatch):
@@ -564,8 +562,6 @@ def test_node_limit_stop_leaves_unapplied_instances_unrecorded(monkeypatch):
 
     left_out = 0
     for index, rw in enumerate(rules):
-        if memo.seen[index] is None:
-            continue
         assert memo.seen[index] == keys(passed.get(id(rw), [])), rw.name
         unapplied = keys(fresh_by_rule.get(index, [])) - keys(passed.get(id(rw), []))
         assert not unapplied & memo.seen[index]
