@@ -117,7 +117,8 @@ def common_options(fn):
         help="Language for terms when --rules is a file.",
     )(fn)
     fn = click.option("--iters", default=30, show_default=True, help="Iteration limit.")(fn)
-    fn = click.option("--nodes", default=10_000, show_default=True, help="E-node limit.")(fn)
+    fn = click.option("--nodes", default=10_000, show_default=True,
+                      help="E-node limit; a run may end one iteration's growth above it.")(fn)
     fn = click.option(
         "--time-ms", default=5000, show_default=True, help="Time limit in milliseconds."
     )(fn)

@@ -6,7 +6,10 @@ phase that may temporarily break invariants, and restores the invariants
 with a single rebuild.  Appliers only instantiate, so splitting the phases
 makes the result invariant to rule order and lets the rebuild be deferred
 safely.  A match whose canonical ids repeat an instance the run already
-applied is not applied again.
+applied is not applied again.  Stops are decided between iterations, on the
+rebuilt graph (the clock is also read after the search), so a stop depends
+on neither the rebuild strategy nor the rule order, and a run may end above
+its node limit by one iteration's growth.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import Callable, Optional, Sequence
 from .analysis import AnalysisError
 from .egraph import EGraph
 from .language import Term
-from .pattern import SearchMatches, Substitutions
+from .pattern import Pattern, SearchMatches, Substitutions
 from .rewrite import Rewrite, apply_rewrite
 
 
@@ -91,6 +94,9 @@ def make_scheduler(kind) -> Scheduler:
 
 @dataclass
 class RunnerConfig:
+    """Limits, read between iterations: a run may end above `node_limit` by
+    one iteration's growth."""
+
     iter_limit: int = 30
     node_limit: int = 10_000
     time_limit: float = 5.0
@@ -236,36 +242,41 @@ def run(
     iterations: list[IterationReport] = []
     stop_reason = None
     message = ""
+    saturated = False
 
     while stop_reason is None:
+        # every stop between iterations is decided here, on the rebuilt graph
         iteration = len(iterations)
-        if iteration >= config.iter_limit:
-            stop_reason = StopReason.ITER_LIMIT
-            break
-        if time.perf_counter() - start > config.time_limit:
-            stop_reason = StopReason.TIME_LIMIT
-            break
         if egraph.n_nodes() > config.node_limit:
             stop_reason = StopReason.NODE_LIMIT
-            break
-        state = RunnerState(egraph, root_ids, iteration)
-        if any(hook(state) for hook in config.hooks):
+        elif time.perf_counter() - start > config.time_limit:
+            stop_reason = StopReason.TIME_LIMIT
+        elif saturated:
+            stop_reason = StopReason.SATURATED
+        elif iteration >= config.iter_limit:
+            stop_reason = StopReason.ITER_LIMIT
+        elif any(hook(RunnerState(egraph, root_ids, iteration)) for hook in config.hooks):
             stop_reason = StopReason.HOOK_STOP
+        if stop_reason is not None:
             break
 
         stats = {rw.name: RuleStats() for rw in rules}
         unions_before = egraph.union_count
         nodes_before = egraph.n_nodes()
 
-        # read phase: collect matches for every rule before applying any
+        # read phase: collect matches for every rule before applying any;
+        # rules on one left-hand side share its search
         search_start = time.perf_counter()
+        found: dict[Pattern, list[SearchMatches]] = {}
         collected = []
         for index, rw in enumerate(rules):
             st = stats[rw.name]
             if scheduler.banned(iteration, rw):
                 st.banned = True
                 continue
-            matches = rw.search(egraph)
+            matches = found.get(rw.searcher)
+            if matches is None:
+                matches = found[rw.searcher] = rw.search(egraph)
             # the scheduler sees every match; repeats and rejects go after it
             matches, st.banned = scheduler.filter_matches(iteration, rw, matches)
             st.searched = sum(len(m.substs) for m in matches)
@@ -274,9 +285,8 @@ def run(
                 collected.append((index, rw, matches))
         search_time = time.perf_counter() - search_start
 
-        # write phase, then one rebuild; a batch past the node limit ends the
-        # write phase, but the stop is decided on the rebuilt graph.  An
-        # iteration out of time after its search reports no write phase
+        # write phase: every kept match, then one rebuild.  An iteration out
+        # of time after its search reports no write phase
         repairs_before = egraph.repair_calls
         apply_time = rebuild_time = 0.0
         if time.perf_counter() - start > config.time_limit:
@@ -287,8 +297,6 @@ def run(
                 for index, rw, matches in collected:
                     stats[rw.name].applied = apply_rewrite(egraph, rw, matches)
                     applied_before.record(index, matches)
-                    if egraph.n_nodes() > config.node_limit:
-                        break
                 apply_time = time.perf_counter() - apply_start
                 rebuild_start = time.perf_counter()
                 egraph.rebuild()
@@ -310,22 +318,10 @@ def run(
                 egraph.repair_calls - repairs_before,
             )
         )
-        if stop_reason is not None:
-            break
-        if egraph.n_nodes() > config.node_limit:
-            stop_reason = StopReason.NODE_LIMIT
-        elif time.perf_counter() - start > config.time_limit:
-            stop_reason = StopReason.TIME_LIMIT
-        else:
-            productive = (
-                egraph.union_count > unions_before
-                or egraph.n_nodes() > nodes_before
-            )
-            # saturation requires a fully unthrottled, unproductive pass:
-            # a banned rule may still be holding matches back
-            any_banned = any(st.banned for st in stats.values())
-            if not productive and not any_banned:
-                stop_reason = StopReason.SATURATED
+        productive = egraph.union_count > unions_before or egraph.n_nodes() > nodes_before
+        # saturation requires a fully unthrottled, unproductive pass:
+        # a banned rule may still be holding matches back
+        saturated = not productive and not any(st.banned for st in stats.values())
 
     if iterations:
         iterations[-1].stop_reason = stop_reason

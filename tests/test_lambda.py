@@ -16,6 +16,7 @@ from eqsat import (
     num,
     parse_pattern,
     parse_term,
+    Rewrite,
     run,
     sym,
 )
@@ -277,6 +278,30 @@ def test_capture_avoidance_skips_rename_when_binder_not_free():
     assert apply_rewrite(g, diff, kept_matches(g, diff, diff.search(g))) == 1
     g.rebuild()
     assert not capture_renamed(g, root)
+
+
+def test_rules_on_one_left_hand_side_share_one_search(monkeypatch):
+    searched = []
+    search = Rewrite.search
+
+    def counting(rewrite, egraph):
+        searched.append(rewrite.name)
+        return search(rewrite, egraph)
+
+    monkeypatch.setattr(Rewrite, "search", counting)
+    report = saturate(
+        "(if (= (var a) (var b)) (+ (var a) (var a)) (+ (var a) (var b)))",
+        RunnerConfig(scheduler="every"),
+    )
+    searchers = {rw.searcher for rw in lambda_rules()}
+    assert len(searchers) == len(lambda_rules()) - 2
+    assert len(searched) == len(searchers) * len(report.iterations)
+    assert "if-elim-probe" not in searched and "let-lam-rename" not in searched
+    # each sibling still keeps its own counts and conditions
+    for it in report.iterations:
+        assert it.rules["if-elim"].searched == it.rules["if-elim-probe"].searched
+        assert it.rules["let-lam-diff"].searched == it.rules["let-lam-rename"].searched
+    assert sum(it.rules["if-elim"].applied for it in report.iterations) == 1
 
 
 # ----------------------------------------------------------------------
