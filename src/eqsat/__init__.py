@@ -43,7 +43,6 @@ from .pattern import (
     apply_subst,
     compile_pattern,
     ematch,
-    match_in_class,
     parse_pattern,
 )
 from .rewrite import (
@@ -59,7 +58,6 @@ from .rewrite import (
 )
 from .runner import (
     BackoffScheduler,
-    EveryRuleScheduler,
     EquivResult,
     IterationReport,
     RunReport,
@@ -86,7 +84,6 @@ __all__ = [
     "EGraph",
     "ENode",
     "EquivResult",
-    "EveryRuleScheduler",
     "ExtractionError",
     "Extractor",
     "IterationReport",
@@ -119,7 +116,6 @@ __all__ = [
     "is_const",
     "is_nonzero_const",
     "is_not_same_var",
-    "match_in_class",
     "num",
     "parse_pattern",
     "parse_rules",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import statistics
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -319,27 +320,18 @@ def _ranks(values: Sequence[float]) -> list[float]:
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation (Pearson on average ranks)."""
+    """Spearman rank correlation (Pearson on average ranks); 0.0 when a
+    sample is constant."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need two equal-length samples of size >= 2")
-    rx, ry = _ranks(xs), _ranks(ys)
-    mean_x = sum(rx) / len(rx)
-    mean_y = sum(ry) / len(ry)
-    cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(rx, ry))
-    var_x = sum((a - mean_x) ** 2 for a in rx)
-    var_y = sum((b - mean_y) ** 2 for b in ry)
-    if var_x == 0 or var_y == 0:
+    try:
+        return statistics.correlation(_ranks(xs), _ranks(ys))
+    except statistics.StatisticsError:
         return 0.0
-    return cov / (var_x * var_y) ** 0.5
 
 
 def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        return 1.0
-    product = 1.0
-    for v in values:
-        product *= v
-    return product ** (1 / len(values))
+    return statistics.geometric_mean(values) if values else 1.0
 
 
 def speedup_report(records: Sequence[BenchRecord]) -> dict:

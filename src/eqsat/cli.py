@@ -22,13 +22,7 @@ import click
 from . import bench as bench_module
 from .extraction import Extractor, ast_depth, ast_size
 from .language import LanguageError, ParseError, Term, parse_term, read_sexp, tokenize
-from .runner import (
-    RunnerConfig,
-    StopReason,
-    check_equiv,
-    check_equiv_batched,
-    run,
-)
+from .runner import RunnerConfig, StopReason, check_equiv_batched, run
 from .rewrite import parse_rules
 from .domains import lam as lambda_domain
 from .domains import math as math_domain
@@ -194,14 +188,11 @@ def check_equiv_cmd(lhs, rhs, rules_name, lang_name, iters, nodes, time_ms,
         pairs = _read_pairs(pairs_file, lang)
     else:
         pairs = [(_parse_or_exit(lhs, lang), _parse_or_exit(rhs, lang))]
-    if batched:
-        verdicts, report = check_equiv_batched(factory(), pairs, rules, config)
-        runs = [report]
-        results = [(equal, len(report.iterations)) for equal in verdicts]
-    else:
-        checked = [check_equiv(factory(), a, b, rules, config) for a, b in pairs]
-        runs = [result.report for result in checked]
-        results = [(result.equal, result.iterations) for result in checked]
+    runs, results = [], []
+    for group in [pairs] if batched else [[pair] for pair in pairs]:
+        verdicts, report = check_equiv_batched(factory(), group, rules, config)
+        runs.append(report)
+        results += [(equal, len(report.iterations)) for equal in verdicts]
     for report in runs:
         _exit_on_contradiction(report)
     if as_json:

@@ -41,8 +41,6 @@ LAMBDA = LanguageDef(
         "let": 3,
         "fix": 2,
         "var": 1,
-        # present in the language for completeness; no shipped rule uses it
-        "subst": 3,
     },
     leaf_kinds=frozenset({"num", "bool", "sym"}),
 )

@@ -10,7 +10,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 
 class Leaf(NamedTuple):
@@ -112,9 +112,6 @@ class Term:
     @property
     def root_op(self) -> Op:
         return self.nodes[-1][0]
-
-    def postorder(self) -> Iterator[tuple[Op, tuple[int, ...]]]:
-        return iter(self.nodes)
 
     def depth(self) -> int:
         depths = []

@@ -289,10 +289,6 @@ class SearchMatches(NamedTuple):
     substs: Substitutions
 
 
-def _var_names(program: MatchProgram) -> tuple[str, ...]:
-    return tuple([name for name, _ in program.var_regs])
-
-
 def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
     """Find every (substitution, class) pair where the pattern is
     represented: sound and complete up to canonicalization, read-only,
@@ -311,21 +307,11 @@ def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
         class_ids = egraph.class_ids() if is_var(root) else egraph.classes_with_op(root)
         classes = egraph.classes
         candidates = [(c, classes[c].nodes) for c in class_ids]  # ascending when clean
-    names = _var_names(program)
+    names = tuple([name for name, _ in program.var_regs])
     return [
         SearchMatches(class_id, Substitutions(names, matches))
         for class_id, matches in run_program(egraph, program, candidates)
     ]
-
-
-def match_in_class(egraph: EGraph, pattern: Pattern, class_id: int) -> list[dict]:
-    """Match a pattern inside one class only (goal checks); substitutions
-    in the order ``ematch`` gives them."""
-    egraph.require_clean("match_in_class")
-    program = pattern.program
-    class_id = egraph.find(class_id)
-    found = run_program(egraph, program, [(class_id, egraph.classes[class_id].nodes)])
-    return list(Substitutions(_var_names(program), found[0][1])) if found else []
 
 
 class UnboundVariable(KeyError):

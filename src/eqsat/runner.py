@@ -35,7 +35,9 @@ class StopReason(Enum):
 
 
 class Scheduler:
-    """Decides which rules search and whether their matches get applied."""
+    """Decides which rules search and whether their matches get applied;
+    this base scheduler (``every``) searches and applies every rule, every
+    iteration."""
 
     def banned(self, iteration: int, rewrite: Rewrite) -> bool:
         return False
@@ -43,10 +45,6 @@ class Scheduler:
     def filter_matches(self, iteration: int, rewrite: Rewrite, matches):
         """Returns (matches, banned_now)."""
         return matches, False
-
-
-class EveryRuleScheduler(Scheduler):
-    """Search and apply every rule, every iteration."""
 
 
 @dataclass
@@ -86,7 +84,7 @@ def make_scheduler(kind) -> Scheduler:
     if isinstance(kind, Scheduler):
         return kind
     if kind == "every":
-        return EveryRuleScheduler()
+        return Scheduler()
     if kind == "backoff":
         return BackoffScheduler()
     raise ValueError(f"unknown scheduler {kind!r}")
@@ -125,7 +123,9 @@ class RuleStats:
 class _AppliedInstances:
     """The instances a run has applied, per rule: ``(class id,
     *substitution ids)``, the ids read from the `Substitutions` tuples
-    (variable-name order), so no dict is built.
+    (variable-name order), so no dict is built.  An instance is recorded
+    when it is kept: each kept instance is applied in the same iteration,
+    or else the run ends.
 
     An applier's result depends on the class id and the substitution alone,
     the graph only grows, and congruence holds at every clean point: so an
@@ -140,7 +140,8 @@ class _AppliedInstances:
 
     def to_apply(self, egraph: EGraph, index: int, rewrite: Rewrite, matches):
         """The matches of rule `index`, `rewrite`, not applied before and
-        whose conditions hold on the clean graph; and how many repeated."""
+        whose conditions hold on the clean graph, now recorded as applied;
+        and how many repeated."""
         seen, conditions = self.seen[index], rewrite.conditions
         kept, skipped = [], 0
         for eclass, substs in matches:
@@ -154,15 +155,10 @@ class _AppliedInstances:
                     if not all(cond(egraph, eclass, subst) for cond in conditions):
                         continue
                 new.append(ids)
+                seen.add((eclass, *ids))
             if new:
                 kept.append(SearchMatches(eclass, Substitutions(substs.names, new)))
         return kept, skipped
-
-    def record(self, index: int, matches: list[SearchMatches]) -> None:
-        """Call only once the matches have been passed to `apply_rewrite`."""
-        self.seen[index].update(
-            (eclass, *ids) for eclass, substs in matches for ids in substs.ids
-        )
 
 
 @dataclass
@@ -190,12 +186,6 @@ class RunReport:
     iterations: list[IterationReport]
     stop_reason: StopReason
     message: str = ""
-
-    @property
-    def total_applied(self) -> int:
-        return sum(
-            st.applied for it in self.iterations for st in it.rules.values()
-        )
 
     def to_dict(self):
         return {
@@ -282,7 +272,7 @@ def run(
             st.searched = sum(len(m.substs) for m in matches)
             matches, st.skipped = applied_before.to_apply(egraph, index, rw, matches)
             if matches:
-                collected.append((index, rw, matches))
+                collected.append((rw, matches))
         search_time = time.perf_counter() - search_start
 
         # write phase: every kept match, then one rebuild.  An iteration out
@@ -294,9 +284,8 @@ def run(
         else:
             apply_start = time.perf_counter()
             try:
-                for index, rw, matches in collected:
+                for rw, matches in collected:
                     stats[rw.name].applied = apply_rewrite(egraph, rw, matches)
-                    applied_before.record(index, matches)
                 apply_time = time.perf_counter() - apply_start
                 rebuild_start = time.perf_counter()
                 egraph.rebuild()

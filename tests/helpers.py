@@ -11,7 +11,7 @@ import random
 import sys
 from fractions import Fraction
 
-from eqsat import EGraph, ENode, Leaf, Term, build_cost_table, num, sym
+from eqsat import EGraph, ENode, Leaf, Term, build_cost_table, ematch, num, sym
 from eqsat.language import leaf_to_str
 
 
@@ -411,6 +411,12 @@ def reference_cost_table(egraph: EGraph, cost_fn) -> dict:
                     costs[class_id] = cost
                     changed = True
     return costs
+
+
+def matches_in_class(egraph: EGraph, pattern, class_id: int) -> bool:
+    """Whether the pattern matches in the class of `class_id` (goal checks)."""
+    root = egraph.find(class_id)
+    return any(found.eclass == root for found in ematch(egraph, pattern))
 
 
 def kept_matches(egraph: EGraph, rule, matches):

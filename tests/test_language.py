@@ -46,7 +46,7 @@ def test_parse_nested_addition():
 
 def test_children_precede_parents():
     term = parse_term("(+ 1 (+ 2 3))", MATH)
-    for index, (_, kids) in enumerate(term.postorder()):
+    for index, (_, kids) in enumerate(term.nodes):
         assert all(k < index for k in kids)
 
 

@@ -96,7 +96,7 @@ def symbols_of(term: Term):
     return sorted(
         {
             op.value
-            for op, _ in term.postorder()
+            for op, _ in term.nodes
             if getattr(op, "kind", None) == "sym"
         }
     )

@@ -31,7 +31,7 @@ from eqsat import (
     run,
     sym,
 )
-from eqsat.pattern import Bind, Compare, match_in_class
+from eqsat.pattern import Bind, Compare
 from eqsat.domains.lam import LAMBDA, lambda_rules
 from eqsat.domains.math import MATH, make_egraph, math_rules
 
@@ -229,13 +229,6 @@ def test_apply_subst_unbound_variable_errors():
         apply_subst(parse_pattern("(<< ?x 1)", MATH), {}, g)
 
 
-def test_match_in_class_scopes_to_one_class():
-    g, root = division_demo_graph()
-    assert match_in_class(g, parse_pattern("(/ ?n ?d)", MATH), root)
-    mul = g.lookup(ENode("*", (0, 1)))
-    assert match_in_class(g, parse_pattern("(/ ?n ?d)", MATH), mul) == []
-
-
 def _as_comparable(matches):
     return [
         (m[0] if isinstance(m, tuple) else m.eclass,
@@ -338,7 +331,7 @@ def test_run_uses_patterns_compiled_at_construction(monkeypatch):
     monkeypatch.setattr(pattern_module, "compile_pattern", counting)
     term = parse_term("(/ (* (+ a b) 2) 2)", MATH)
     report = run(make_egraph(), [term], rules, RunnerConfig(scheduler="every", iter_limit=4))
-    assert report.total_applied > 0
+    assert sum(st.applied for it in report.iterations for st in it.rules.values()) > 0
     assert compiled == []
 
 
@@ -400,7 +393,6 @@ def test_dirty_graph_error_is_typed_and_survives_python_O():
     pattern = parse_pattern("(* ?x 2)", MATH)
     queries = (
         lambda: ematch(g, pattern),
-        lambda: match_in_class(g, pattern, 0),
         lambda: build_cost_table(g),
     )
     for query in queries:
@@ -606,21 +598,6 @@ def test_matcher_agrees_with_naive_on_mixed_classes_in_order():
         for pattern in patterns:
             assert _listing(ematch(g, pattern)) == _listing(naive_ematch(g, pattern)), str(pattern)
     assert busy >= 40  # classes that hold many nodes were exercised
-
-
-def test_match_in_class_with_noncanonical_id_agrees_with_naive():
-    rng = random.Random(77)
-    patterns = [parse_mixed(text) for text in MIXED_PATTERNS]
-    stale = 0
-    for _ in range(15):
-        g, ids = random_mixed_egraph(rng)
-        for pattern in patterns:
-            expected = dict(naive_ematch(g, pattern))
-            for class_id in range(len(g.uf)):
-                stale += g.find(class_id) != class_id
-                got = match_in_class(g, pattern, class_id)
-                assert got == expected.get(g.find(class_id), []), (str(pattern), class_id)
-    assert stale > 0
 
 
 @settings(max_examples=80, deadline=None)
