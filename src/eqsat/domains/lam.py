@@ -149,6 +149,26 @@ def binder_free_in(v: str, e: str, holds: bool = True) -> Condition:
     return cond
 
 
+def fresh_name(eclass: int) -> str:
+    """The binder `RenameBinder` makes for a match of class `eclass`."""
+    return f"_{eclass}"
+
+
+def fresh_name_unused(v: str, *scopes: str) -> Condition:
+    """Whether the match's fresh name is no symbol of class `v` and may be
+    free in none of the `scopes` classes: a binder by that name would
+    capture the user's symbol."""
+
+    def cond(egraph, eclass, subst):
+        name = fresh_name(eclass)
+        if name in egraph[subst[v]].data.symbols:
+            return False
+        return not any(name in egraph[subst[s]].data.free for s in scopes)
+
+    cond.variables = (v, *scopes)
+    return cond
+
+
 class RenameBinder(Applier):
     """Instantiates `rhs` with `fresh` bound to a new symbol named after the
     matched class id (so deterministic)."""
@@ -158,7 +178,7 @@ class RenameBinder(Applier):
         self.rhs = parse_pattern(rhs, LAMBDA)
 
     def apply_one(self, egraph, eclass, subst):
-        extended = {**subst, self.fresh: egraph.add_leaf(sym(f"_{eclass}"))}
+        extended = {**subst, self.fresh: egraph.add_leaf(sym(fresh_name(eclass)))}
         return [apply_subst(self.rhs, extended, egraph)]
 
     def pattern_vars(self):
@@ -236,7 +256,8 @@ def lambda_rules() -> list[Rewrite]:
             "let-lam-rename",
             parse_pattern(under_lam, LAMBDA),
             RenameBinder("?fresh", "(lam ?fresh (let ?v1 ?e (let ?v2 (var ?fresh) ?body)))"),
-            (is_not_same_var("?v1", "?v2"), binder_free_in("?v2", "?e")),
+            (is_not_same_var("?v1", "?v2"), binder_free_in("?v2", "?e"),
+             fresh_name_unused("?v1", "?e", "?body")),
         ),
     ]
 

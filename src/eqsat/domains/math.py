@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ..analysis import Analysis, check_folded, join_optional_constant
+from ..analysis import Analysis, ConstantOverflow, check_folded, join_optional_constant
 from ..egraph import EGraph
 from ..language import LanguageDef, Leaf, Term, num
 from ..rewrite import Rewrite, is_nonzero_const
@@ -43,7 +43,11 @@ def fold(op: str, a, b) -> Optional[object]:
     elif op == "<<":
         if b.denominator != 1 or b < 0:
             return None
-        result = a * 2**int(b)
+        # |a| * 2**b > 2**(b + bits(numerator) - 1 - bits(denominator)), so
+        # the range is decided before the result, however far the shift
+        if a and b + a.numerator.bit_length() - a.denominator.bit_length() > 63:
+            raise ConstantOverflow(f"folded constant out of range: {a} << {b}")
+        result = a * 2**int(b) if a else a
     else:
         return None
     check_folded(result)

@@ -8,6 +8,7 @@ and whose join keeps the lower one.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Callable, Sequence
 
 from .analysis import Analysis
@@ -97,27 +98,34 @@ class Extractor:
         self._choose_nodes()
 
     def _choose_nodes(self) -> None:
-        """Sweep the classes until none changes: a class takes the least of
-        its minimum-cost nodes once some such node has every child chosen."""
+        """Settle the classes in ascending cost, each on the least of its
+        minimum-cost nodes whose children are settled.  Within one cost,
+        classes settle in rounds that read only earlier rounds, so no choice
+        depends on class ids; only a zero-weight node waits a round for its
+        child, and a class not ready by the end of its cost waits on."""
         costs, chosen, cost_fn = self.costs, self.chosen, self.cost_fn
-        progress = True
-        while progress:
-            progress = False
-            for class_id, eclass in self.egraph.classes.items():
-                if class_id in chosen or class_id not in costs:
-                    continue
-                best = None
-                for node in eclass.nodes:
-                    kids = node.children
-                    if not all(c in chosen for c in kids):
-                        continue
-                    if cost_fn(node, [costs[c] for c in kids]) != costs[class_id]:
-                        continue
-                    if best is None or self._precedes(node, best):
-                        best = node
-                if best is not None:
-                    chosen[class_id] = best
-                    progress = True
+        classes = self.egraph.classes
+        pending: list[int] = []
+        for _, same in groupby(sorted(costs, key=costs.__getitem__), costs.__getitem__):
+            pending += same
+            while pending:
+                ready = {}
+                for class_id in pending:
+                    best = None
+                    for node in classes[class_id].nodes:
+                        kids = node.children
+                        if not all(c in chosen for c in kids):
+                            continue
+                        if cost_fn(node, [costs[c] for c in kids]) != costs[class_id]:
+                            continue
+                        if best is None or self._precedes(node, best):
+                            best = node
+                    if best is not None:
+                        ready[class_id] = best
+                if not ready:
+                    break
+                chosen.update(ready)
+                pending = [c for c in pending if c not in ready]
 
     def _precedes(self, a: ENode, b: ENode) -> bool:
         """Is the term a node extracts to structurally less than b's?

@@ -362,33 +362,38 @@ def term_key(term: Term):
 
 def oracle_extracted_terms(egraph: EGraph, cost_fn) -> dict[int, Term]:
     """Per class, the least `term_key` term among the nodes achieving the
-    class's minimum cost, built whole for every class in sweeps over the
-    class map (a class is settled in the first sweep in which some
-    minimum-cost node has all its children settled).  The costs come from
+    class's minimum cost, built whole for every class.  Classes settle in
+    ascending cost; within one cost, in rounds that see only the classes
+    earlier rounds settled (a class settles in the first round in which
+    some minimum-cost node has all its children settled), and what is not
+    settled by the end of its cost waits for the next.  The costs come from
     build_cost_table; only the choice among minimum-cost nodes is redone."""
     costs = build_cost_table(egraph, cost_fn)
     terms: dict[int, Term] = {}
-    progress = True
-    while progress:
-        progress = False
-        for class_id, eclass in egraph.classes.items():
-            if class_id in terms or class_id not in costs:
-                continue
-            best = None
-            for node in eclass.nodes:
-                if not all(c in terms for c in node.children):
-                    continue
-                if cost_fn(node, [costs[c] for c in node.children]) != costs[class_id]:
-                    continue
-                if isinstance(node.op, Leaf):
-                    term = Term.leaf(node.op)
-                else:
-                    term = Term.apply(node.op, *(terms[c] for c in node.children))
-                if best is None or term_key(term) < term_key(best):
-                    best = term
-            if best is not None:
-                terms[class_id] = best
-                progress = True
+    pending: list[int] = []
+    for cost in sorted(set(costs.values())):
+        pending += [class_id for class_id in egraph.classes if costs.get(class_id) == cost]
+        while pending:
+            settled = {}
+            for class_id in pending:
+                best = None
+                for node in egraph.classes[class_id].nodes:
+                    if not all(c in terms for c in node.children):
+                        continue
+                    if cost_fn(node, [costs[c] for c in node.children]) != costs[class_id]:
+                        continue
+                    if isinstance(node.op, Leaf):
+                        term = Term.leaf(node.op)
+                    else:
+                        term = Term.apply(node.op, *(terms[c] for c in node.children))
+                    if best is None or term_key(term) < term_key(best):
+                        best = term
+                if best is not None:
+                    settled[class_id] = best
+            if not settled:
+                break
+            terms.update(settled)
+            pending = [c for c in pending if c not in settled]
     return terms
 
 

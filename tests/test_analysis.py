@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from eqsat import (
 )
 from eqsat.analysis import join_optional_constant
 from eqsat.domains.lam import LAMBDA, LamAnalysis, LamData, make_egraph as lam_egraph
-from eqsat.domains.math import MATH, make_egraph as math_egraph
+from eqsat.domains.math import MATH, fold, make_egraph as math_egraph
 from eqsat.extraction import MinCostExtraction
 
 
@@ -109,6 +110,23 @@ def test_fold_overflow_is_checked_error():
     g.add(ENode(num(2), ()))
     with pytest.raises(ConstantOverflow):
         g.add_term(parse_term(f"(* {big} 2)", MATH))
+
+
+def test_shift_out_of_range_raises_before_building_the_result():
+    start = time.perf_counter()
+    with pytest.raises(ConstantOverflow):
+        fold("<<", 1, 10**8)
+    assert time.perf_counter() - start < 0.01
+    assert fold("<<", 1, 62) == 2**62
+    assert fold("<<", -1, 63) == -(2**63)
+    assert fold("<<", 0, 10**12) == 0
+    # a denominator past 64 bits can bring a far shift back into range
+    assert fold("<<", Fraction(1, 2**100), 127) == 2**27
+    with pytest.raises(ConstantOverflow):
+        fold("<<", 1, 63)
+    g = math_egraph()
+    root = g.add_term(parse_term("(<< 1 62)", MATH))
+    assert g[root].data == 2**62
 
 
 def test_division_by_zero_never_folds():

@@ -52,6 +52,14 @@ def test_simplify_contradiction_exit_code(tmp_path):
     assert result.exit_code == 3
 
 
+def test_simplify_far_shift_is_one_line_exit_three():
+    result = invoke("simplify", "(<< 1 20000)")
+    assert result.exit_code == 3
+    assert result.output.splitlines() == [
+        "analysis contradiction: folded constant out of range: 1 << 20000"
+    ]
+
+
 def test_simplify_json_report():
     result = invoke("simplify", "--rules", "math", "--json", "(+ 1 2)")
     assert result.exit_code == 0

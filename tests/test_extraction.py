@@ -20,12 +20,14 @@ from eqsat import (
     weighted_ast_size,
 )
 from eqsat.domains.math import MATH, make_egraph as math_egraph, strength_reduction_rules
+from eqsat.bench import partition_signature
 from eqsat.runner import RunnerConfig, run
 
 from helpers import (
     min_size_by_depth,
     oracle_extracted_terms,
     random_small_egraph,
+    random_term,
     reference_cost_table,
     shallow_recursion_limit,
 )
@@ -271,6 +273,81 @@ def test_best_is_tie_break_oracle_pick(cost_fn):
                 with pytest.raises(ExtractionError):
                     extractor.best(cid)
     assert tied >= 100  # the graphs do exercise the tie-break
+
+
+def _add_in_order(terms, merges, order):
+    """A graph holding `terms`, added in `order`, with the pairs of term
+    indexes in `merges` merged in that order too; the root id per term."""
+    g = EGraph()
+    ids = {i: g.add_term(terms[i]) for i in order}
+    for a, b in (merges if order[0] == 0 else reversed(merges)):
+        g.merge(ids[a], ids[b])
+    g.rebuild()
+    return g, [ids[i] for i in range(len(terms))]
+
+
+def test_applications_merged_in_either_order_extract_alike():
+    # p, (b p), q, (a q) with the two applications merged: the order of the
+    # adds decides which application's class is the older one
+    extracted = []
+    for order in ("p b q a", "q p a b"):
+        g = EGraph()
+        ids = {}
+        for name in order.split():
+            if name in "pq":
+                ids[name] = g.add(ENode(sym(name), ()))
+            else:
+                ids[name] = g.add(ENode(name, (ids["p" if name == "b" else "q"],)))
+        g.merge(ids["a"], ids["b"])
+        g.rebuild()
+        extracted.append(str(extract_best(g, ids["a"])[0]))
+    assert extracted == ["(a q)", "(a q)"]
+
+
+@pytest.mark.parametrize(
+    "cost_fn",
+    [ast_size, ast_depth, weighted_ast_size({"*": 0})],
+    ids=["ast_size", "ast_depth", "weighted-zero"],
+)
+def test_extracted_terms_do_not_depend_on_insertion_order(cost_fn):
+    rng = random.Random(2026)
+    differs_by_id = 0
+    for _ in range(150):
+        terms = [random_term(rng, MATH, rng.randint(1, 4), "ab") for _ in range(8)]
+        sizes = [len(t) for t in terms]
+        merges = [
+            (i, j) for i in range(8) for j in range(i + 1, 8)
+            if sizes[i] == sizes[j] and rng.random() < 0.5
+        ]
+        forward, ids_f = _add_in_order(terms, merges, list(range(8)))
+        backward, ids_b = _add_in_order(terms, merges, list(range(7, -1, -1)))
+        assert partition_signature(forward, ids_f) == partition_signature(backward, ids_b)
+        best_f, best_b = Extractor(forward, cost_fn), Extractor(backward, cost_fn)
+        for i in range(8):
+            assert best_f.best(ids_f[i]) == best_b.best(ids_b[i]), str(terms[i])
+        differs_by_id += sorted(forward.find(i) for i in ids_f) != sorted(
+            backward.find(i) for i in ids_b
+        )
+    assert differs_by_id >= 100  # the two orders do number the classes apart
+
+
+def test_chain_whose_ids_fall_toward_the_root_extracts_in_linear_time():
+    # each level of f(f(...f(x))) is merged into a two-node class made
+    # later, the root's first, so class ids fall from the leaf to the root
+    depth = 2000
+    g = EGraph()
+    levels = [g.add(ENode(sym("x"), ()))]
+    for _ in range(depth):
+        levels.append(g.add(ENode("f", (levels[-1],))))
+    for k, level in enumerate(reversed(levels[1:])):
+        y = g.add(ENode(sym(f"y{k}"), ()))
+        g.merge(level, g.merge(g.add(ENode("g", (y,))), g.add(ENode("h", (y,)))))
+    g.rebuild()
+    assert g.find(levels[-1]) < g.find(levels[1])
+    start = time.perf_counter()
+    term, cost = Extractor(g, weighted_ast_size({"g": 10**6, "h": 10**6})).best(levels[-1])
+    assert time.perf_counter() - start < 1.0
+    assert cost == depth + 1 and term.depth() == depth + 1
 
 
 def spine_text(depth: int) -> str:

@@ -11,6 +11,7 @@ from eqsat import (
     Term,
     ast_depth,
     ast_size,
+    check_equiv,
     extract_best,
     num,
     parse_pattern,
@@ -271,6 +272,15 @@ def test_capture_avoidance_skips_rename_when_binder_not_free():
     assert apply_rewrite(g, diff, kept_matches(g, diff, diff.search(g))) == 1
     g.rebuild()
     assert not capture_renamed(g, root)
+
+
+@pytest.mark.parametrize("n", range(40))
+def test_fresh_binder_does_not_capture_a_user_symbol(n):
+    # the renamed binder is named after a class id; a user symbol of that
+    # name, free under the lam, must not be captured by it
+    lhs = parse_term(f"(let y (var x) (lam x (+ (var x) (var _{n}))))", LAMBDA)
+    rhs = parse_term(f"(lam _{n} (+ (var _{n}) (var _{n})))", LAMBDA)
+    assert not check_equiv(make_egraph(), lhs, rhs, lambda_rules()).equal
 
 
 def test_rules_on_one_left_hand_side_share_one_search(monkeypatch):
