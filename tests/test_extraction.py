@@ -275,15 +275,16 @@ def test_best_is_tie_break_oracle_pick(cost_fn):
     assert tied >= 100  # the graphs do exercise the tie-break
 
 
-def _add_in_order(terms, merges, order):
-    """A graph holding `terms`, added in `order`, with the pairs of term
-    indexes in `merges` merged in that order too; the root id per term."""
+def _add_in_order(terms, merges, reverse):
+    """A graph holding `terms`, with the pairs of term indexes in `merges`
+    merged, both in list order or both reversed; the root id per term."""
     g = EGraph()
-    ids = {i: g.add_term(terms[i]) for i in order}
-    for a, b in (merges if order[0] == 0 else reversed(merges)):
+    order = range(len(terms))
+    ids = {i: g.add_term(terms[i]) for i in (reversed(order) if reverse else order)}
+    for a, b in reversed(merges) if reverse else merges:
         g.merge(ids[a], ids[b])
     g.rebuild()
-    return g, [ids[i] for i in range(len(terms))]
+    return g, [ids[i] for i in order]
 
 
 def test_applications_merged_in_either_order_extract_alike():
@@ -319,8 +320,8 @@ def test_extracted_terms_do_not_depend_on_insertion_order(cost_fn):
             (i, j) for i in range(8) for j in range(i + 1, 8)
             if sizes[i] == sizes[j] and rng.random() < 0.5
         ]
-        forward, ids_f = _add_in_order(terms, merges, list(range(8)))
-        backward, ids_b = _add_in_order(terms, merges, list(range(7, -1, -1)))
+        forward, ids_f = _add_in_order(terms, merges, reverse=False)
+        backward, ids_b = _add_in_order(terms, merges, reverse=True)
         assert partition_signature(forward, ids_f) == partition_signature(backward, ids_b)
         best_f, best_b = Extractor(forward, cost_fn), Extractor(backward, cost_fn)
         for i in range(8):
