@@ -74,7 +74,9 @@ class UnionFind:
 
     def find(self, x: int) -> int:
         parent = self.parent
-        root = x
+        root = parent[x]
+        if root == x:
+            return x
         while parent[root] != root:
             root = parent[root]
         while parent[x] != root:
@@ -133,10 +135,12 @@ class EGraph:
         return self.uf.find(a) == self.uf.find(b)
 
     def canonicalize(self, node: ENode) -> ENode:
-        find = self.uf.find
+        # an id is canonical iff it is its own union-find parent
+        parent = self.uf.parent
         for child in node.children:
-            if find(child) != child:
-                return ENode(node.op, tuple(find(c) for c in node.children))
+            if parent[child] != child:
+                find = self.uf.find
+                return ENode(node.op, tuple([find(c) for c in node.children]))
         return node
 
     def lookup(self, node: ENode) -> Optional[int]:
@@ -144,7 +148,9 @@ class EGraph:
         return None if found is None else self.uf.find(found)
 
     def __getitem__(self, class_id: int) -> EClass:
-        return self.classes[self.uf.find(class_id)]
+        if self.uf.parent[class_id] != class_id:
+            class_id = self.uf.find(class_id)
+        return self.classes[class_id]
 
     def n_classes(self) -> int:
         return len(self.classes)
@@ -385,18 +391,21 @@ class EGraph:
             if node not in self.hashcons:
                 violations.append(f"hashcons entry missing for {node}")
 
+        # each child class's canonical (parent node, parent class) pairs,
+        # built once: a scan per (node, child) is quadratic in fan-out
+        parent_pairs: dict[int, set[tuple[ENode, int]]] = {}
         for class_id, eclass in self.classes.items():
             for node in eclass.nodes:
                 for child in dict.fromkeys(node.children):
-                    child_class = self.classes.get(find(child))
-                    ok = child_class is not None and any(
-                        self.canonicalize(p) == node and find(pc) == class_id
-                        for p, pc in child_class.parents
-                    )
-                    if not ok:
-                        violations.append(
-                            f"parent list of class {find(child)} misses {node}"
-                        )
+                    child_id = find(child)
+                    pairs = parent_pairs.get(child_id)
+                    if pairs is None and child_id in self.classes:
+                        pairs = parent_pairs[child_id] = {
+                            (self.canonicalize(p), find(pc))
+                            for p, pc in self.classes[child_id].parents
+                        }
+                    if pairs is None or (node, class_id) not in pairs:
+                        violations.append(f"parent list of class {child_id} misses {node}")
 
         violations.extend(self._check_analysis_invariant())
         return violations

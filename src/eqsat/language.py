@@ -171,13 +171,17 @@ def atom_to_leaf(token: str, lang: LanguageDef, position: int = 0) -> Leaf:
     """Classify a bare atom: integers and p/q rationals as numbers,
     true/false as booleans, anything else as a symbol (where admitted)."""
     if "num" in lang.leaf_kinds:
-        if _INT_RE.match(token):
-            return num(int(token))
-        if _RATIONAL_RE.match(token):
-            try:
+        try:
+            if _INT_RE.match(token):
+                return num(int(token))
+            if _RATIONAL_RE.match(token):
                 return num(Fraction(token))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {token!r}", position) from None
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {token!r}", position) from None
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError(
+                f"number literal of {len(token)} characters is too long", position
+            ) from None
     if "bool" in lang.leaf_kinds and token in ("true", "false"):
         return boolean(token == "true")
     if "sym" in lang.leaf_kinds:

@@ -3,9 +3,10 @@
 Patterns compile to a small instruction program that a backtracking
 virtual machine runs against the classes of a clean graph.  ``ematch`` runs
 it over every candidate class and returns the substitutions under which
-the pattern is represented there.  The candidates of a pattern with a ground
-leaf are found by walking up from that leaf's class; the matches are sorted
-only when read.
+the pattern is represented there.  Each search starts at the pattern node
+with the fewest candidate classes (the join-order choice of relational
+e-matching) and, below the root, walks the parent lists up from them to the
+root nodes the VM tries; the matches are sorted only when read.
 """
 from __future__ import annotations
 
@@ -66,52 +67,55 @@ class Compare(NamedTuple):
     other: int
 
 
+class Start(NamedTuple):
+    """A non-variable pattern node, where a search may begin: its op and
+    arity (a ground leaf has arity 0), the index in ``MatchProgram.starts``
+    of its parent (-1 at the root) and its position among that parent's
+    children."""
+
+    op: Op
+    arity: int
+    parent: int
+    position: int
+
+
 @dataclass(frozen=True)
 class MatchProgram:
-    """A compiled pattern.  `anchor` is the ground leaf nearest the root
-    (first in breadth-first order) and `path` the ``(op, arity, child
-    position)`` steps from that leaf up to the root; a pattern whose root
-    is a variable or a leaf, or that has no ground leaf, has no anchor."""
+    """A compiled pattern.  `starts` holds every non-variable node in
+    breadth-first order, the root first (none for a variable root); the
+    parent links give each node's ``(op, arity, child position)`` steps up
+    to the root.  ``ematch`` begins a search at the one with the fewest
+    candidate classes."""
 
     instructions: tuple
     var_regs: tuple[tuple[str, int], ...]  # (variable name, register), by name
     n_regs: int
-    anchor: Optional[Op] = None
-    path: tuple[tuple[Op, int, int], ...] = ()
+    starts: tuple[Start, ...]
 
 
 def compile_pattern(pattern: Pattern) -> MatchProgram:
     nodes = pattern.nodes
     instructions = []
     var_regs: dict[str, int] = {}
+    starts: list[Start] = []
     n_regs = 1
-    todo: list[tuple[int, int]] = [(len(nodes) - 1, 0)]
-    above: list[tuple[int, int]] = [(0, 0)]  # (parent's place in todo, child position)
-    leaf_at = 0
+    # (node index, register, parent's index in starts, child position)
+    todo: list[tuple[int, int, int, int]] = [(len(nodes) - 1, 0, -1, 0)]
     # breadth-first: the loop visits what it appends
-    for at, (index, reg) in enumerate(todo):
+    for index, reg, parent, position in todo:
         op, kids = nodes[index]
         if is_var(op):
             if op.value in var_regs:
                 instructions.append(Compare(reg, var_regs[op.value]))
             else:
                 var_regs[op.value] = reg
-        else:
-            if not kids and not leaf_at:
-                leaf_at = at
-            instructions.append(Bind(reg, op, len(kids), n_regs))
-            for i, kid in enumerate(kids):
-                todo.append((kid, n_regs + i))
-                above.append((at, i))
-            n_regs += len(kids)
-    anchor = nodes[todo[leaf_at][0]][0] if leaf_at else None
-    path = []
-    while leaf_at:  # from the anchor up to the root
-        leaf_at, position = above[leaf_at]
-        op, kids = nodes[todo[leaf_at][0]]
-        path.append((op, len(kids), position))
+            continue
+        instructions.append(Bind(reg, op, len(kids), n_regs))
+        todo.extend((kid, n_regs + i, len(starts), i) for i, kid in enumerate(kids))
+        starts.append(Start(op, len(kids), parent, position))
+        n_regs += len(kids)
     return MatchProgram(
-        tuple(instructions), tuple(sorted(var_regs.items())), n_regs, anchor, tuple(path)
+        tuple(instructions), tuple(sorted(var_regs.items())), n_regs, tuple(starts)
     )
 
 
@@ -211,20 +215,21 @@ def run_program(
     return results
 
 
-def _anchored_roots(
-    egraph: EGraph, program: MatchProgram
+def _roots_above(
+    egraph: EGraph, program: MatchProgram, at: int, level: Iterable[int]
 ) -> list[tuple[int, list[ENode]]]:
     """The classes, ascending, whose nodes can sit at the pattern's root
-    above its anchor leaf, each with those canonical root nodes: a walk up
-    the parent lists from the leaf's class along `program.path`.  Parent
-    lists may hold stale and repeated entries, hence ``find`` and the
-    deduplication."""
-    leaf_class = egraph.hashcons.get((program.anchor, ()))
-    if leaf_class is None:
-        return []
+    above a class in `level` that holds ``program.starts[at]``, each with
+    those canonical root nodes: a walk up the parent lists, one step per
+    pattern node on the way.  Parent lists may hold stale and repeated
+    entries, hence ``find`` and the deduplication."""
     classes, find, canonicalize = egraph.classes, egraph.uf.find, egraph.canonicalize
-    level: dict = {leaf_class: None}
-    for op, arity, pos in program.path:
+    starts = program.starts
+    level = dict.fromkeys(level)
+    while at:
+        pos = starts[at].position
+        at = starts[at].parent
+        op, arity = starts[at].op, starts[at].arity
         up: dict[int, dict[ENode, None]] = {}
         for class_id in level:
             for node, owner in classes[class_id].parents:
@@ -295,18 +300,30 @@ def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
     results sorted by class id, each class's substitutions distinct and
     sorted, as read, by their class ids in variable-name order.
 
-    A pattern with an anchor leaf starts from that leaf's class and walks
-    up to the root nodes above it; any other tries the root op's run in
-    every class that has the op (every class, for a variable)."""
+    The search starts at the pattern node with the fewest candidate classes:
+    the root's op bucket (every class, for a variable root), an inner op's
+    bucket, or a ground leaf's one class (none if the leaf is absent); a tie
+    keeps the node nearer the root.  Below the root, it walks the parent
+    lists up from those classes, so the VM tries only the root nodes above
+    them; at the root, it tries the root op's run in each class."""
     egraph.require_clean("ematch")
     program = pattern.program
-    if program.anchor is not None:
-        candidates = _anchored_roots(egraph, program)
+    at, level = 0, egraph.class_ids()
+    for index, start in enumerate(program.starts):
+        if start.arity:
+            found = egraph.classes_with_op(start.op)
+        else:
+            leaf = egraph.hashcons.get((start.op, ()))
+            found = () if leaf is None else (leaf,)
+        if not index or len(found) < len(level):
+            at, level = index, found
+    if not level:
+        return []
+    if at:
+        candidates = _roots_above(egraph, program, at, level)
     else:
-        root = pattern.nodes[-1][0]
-        class_ids = egraph.class_ids() if is_var(root) else egraph.classes_with_op(root)
         classes = egraph.classes
-        candidates = [(c, classes[c].nodes) for c in class_ids]  # ascending when clean
+        candidates = [(c, classes[c].nodes) for c in level]  # ascending when clean
     names = tuple([name for name, _ in program.var_regs])
     return [
         SearchMatches(class_id, Substitutions(names, matches))

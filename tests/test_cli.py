@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from click.testing import CliRunner
 
@@ -43,6 +46,15 @@ def test_simplify_depth_cost_and_scheduler_flags():
 def test_simplify_parse_error_exit_code():
     result = invoke("simplify", "--rules", "math", "(+ 1")
     assert result.exit_code == 2
+
+
+def test_simplify_literal_past_the_digit_limit_is_exit_two():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no limit on the digits int() reads")
+    result = invoke("simplify", "(+ 1 1" + "0" * limit + ")")
+    assert result.exit_code == 2
+    assert "too long" in result.output and "Traceback" not in result.output
 
 
 def test_simplify_contradiction_exit_code(tmp_path):

@@ -1,10 +1,12 @@
 import copy
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 from eqsat import Analysis, EGraph, ENode, boolean, num, parse_term, sym
+from eqsat.bench import RebuildStrategy, parent_fanout_workload
 from eqsat.egraph import enode_sort_key
 from eqsat.domains.math import MATH, make_egraph as math_egraph
 
@@ -325,6 +327,22 @@ def test_invariant_check_fresh_graph_empty():
     g = EGraph()
     g.add_term(parse_term("(+ 1 (+ 2 a))", MATH))
     assert g.invariant_check() == []
+
+
+def test_invariant_check_is_linear_in_parent_fanout():
+    # x has n parents f_i(x) and is merged with every y_i; a scan of the
+    # parent list per (node, child) pair made the check quadratic in n
+    seconds = {}
+    for n in (1000, 4000):
+        g = parent_fanout_workload(n).run(RebuildStrategy.DEFERRED)[0]
+        assert len(g.classes[g.find(0)].parents) == n
+        runs = []
+        for _ in range(2):
+            start = time.perf_counter()
+            assert g.invariant_check() == []
+            runs.append(time.perf_counter() - start)
+        seconds[n] = min(runs)
+    assert seconds[4000] < 8 * seconds[1000]
 
 
 def test_invariant_check_reports_congruence_violation():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,21 @@ def test_parse_error_reports_position():
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_term("(+ 1 2) extra", MATH)
+
+
+def int_digit_limit() -> int:
+    """The interpreter's limit on the digits ``int()`` reads; 0 if none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not int_digit_limit(), reason="no limit on the digits int() reads")
+def test_literal_past_the_digit_limit_is_a_parse_error():
+    digits = "1" + "0" * int_digit_limit()
+    for literal in (digits, f"-{digits}", f"{digits}/3", f"3/{digits}"):
+        with pytest.raises(ParseError, match="too long") as err:
+            parse_term(f"(+ 1 {literal})", MATH)
+        assert err.value.position == 5, literal
+    assert parse_term("(+ 1 " + "9" * int_digit_limit() + ")", MATH).root_op == "+"
 
 
 def test_pattern_variable_rejected_in_ground_term():

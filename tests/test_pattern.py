@@ -31,7 +31,7 @@ from eqsat import (
     run,
     sym,
 )
-from eqsat.pattern import Bind, Compare
+from eqsat.pattern import Bind, Compare, Start
 from eqsat.domains.lam import LAMBDA, lambda_rules
 from eqsat.domains.math import MATH, make_egraph, math_rules
 
@@ -435,14 +435,40 @@ def test_compile_order_is_breadth_first():
     assert program.var_regs == (("?a", 3), ("?b", 7)) and program.n_regs == 9
 
 
-def test_compile_records_the_leaf_nearest_the_root_and_its_path():
+def steps_up(program, at):
+    """The ``(op, arity, child position)`` steps from ``program.starts[at]``
+    up to the root."""
+    starts, steps = program.starts, []
+    while at:
+        position, at = starts[at].position, starts[at].parent
+        steps.append((starts[at].op, starts[at].arity, position))
+    return tuple(steps)
+
+
+def test_compile_records_every_non_variable_node_and_its_path():
     program = compile_pattern(parse_pattern("(+ (* ?a 2) (/ (- ?b 1) ?a))", MATH))
-    assert program.anchor == num(2)
-    assert program.path == (("*", 2, 1), ("+", 2, 0))
+    assert program.starts == (
+        Start("+", 2, -1, 0),
+        Start("*", 2, 0, 0),
+        Start("/", 2, 0, 1),
+        Start(num(2), 0, 1, 1),
+        Start("-", 2, 2, 0),
+        Start(num(1), 0, 4, 1),
+    )
+    # the ground leaf nearest the root, and its path
+    assert steps_up(program, 3) == (("*", 2, 1), ("+", 2, 0))
+    assert steps_up(program, 5) == (("-", 2, 1), ("/", 2, 0), ("+", 2, 1))
     program = compile_pattern(parse_pattern("(* (* ?a 2) ?c)", MATH))
-    assert program.anchor == num(2) and program.path == (("*", 2, 1), ("*", 2, 0))
-    for text in ("?x", "2", "(+ ?x ?y)", "(* (+ ?x ?y) ?z)"):
-        assert compile_pattern(parse_pattern(text, MATH)).anchor is None, text
+    assert [start.op for start in program.starts] == ["*", "*", num(2)]
+    assert steps_up(program, 2) == (("*", 2, 1), ("*", 2, 0))
+    # no ground leaf below the root
+    assert compile_pattern(parse_pattern("?x", MATH)).starts == ()
+    assert compile_pattern(parse_pattern("2", MATH)).starts == (Start(num(2), 0, -1, 0),)
+    assert compile_pattern(parse_pattern("(+ ?x ?y)", MATH)).starts == (Start("+", 2, -1, 0),)
+    assert compile_pattern(parse_pattern("(* (+ ?x ?y) ?z)", MATH)).starts == (
+        Start("*", 2, -1, 0),
+        Start("+", 2, 0, 0),
+    )
 
 
 def _root_nodes_handed(monkeypatch):
@@ -608,3 +634,76 @@ def test_matcher_agrees_with_naive_on_heavily_merged_graphs(seed):
     for _ in range(3):
         pattern = random_pattern(rng)
         assert _listing(ematch(g, pattern)) == _listing(naive_ematch(g, pattern))
+
+
+def skewed_merged_egraph(rng):
+    """Random terms where `+` is common, `-` rare and `/` absent, then two
+    rounds of random merges, so parent lists hold stale and repeated
+    entries."""
+    g = EGraph()
+    ids = [g.add(ENode(leaf, ())) for leaf in (sym("a"), sym("b"), num(1), num(2))]
+    for _ in range(30):
+        op = rng.choices(["+", "*", "-"], weights=[6, 3, 1])[0]
+        ids.append(g.add(ENode(op, (g.find(rng.choice(ids)), g.find(rng.choice(ids))))))
+    for _ in range(2):
+        for _ in range(4):
+            g.merge(rng.choice(ids), rng.choice(ids))
+        g.rebuild()
+    return g
+
+
+def has_stale_or_repeated_parent(g):
+    for eclass in g.classes.values():
+        canonical = [(g.canonicalize(node), g.find(owner)) for node, owner in eclass.parents]
+        if len(set(canonical)) < len(canonical) or canonical != eclass.parents:
+            return True
+    return False
+
+
+def test_every_start_agrees_with_naive_on_merged_graphs(monkeypatch):
+    patterns = {
+        "inner op": "(+ (- ?a ?b) ?c)",
+        "absent op": "(+ (/ ?a ?b) ?c)",
+        "absent leaf": "(* ?a 7)",
+        "variable root": "?x",
+        "nonlinear": "(+ ?a (* ?a ?b))",
+        "leaf two levels down": "(* (+ ?a 1) ?b)",
+    }
+    walked_from = []
+    original = pattern_module._roots_above
+
+    def spy(egraph, program, at, level):
+        walked_from.append(program.starts[at].op)
+        return original(egraph, program, at, level)
+
+    monkeypatch.setattr(pattern_module, "_roots_above", spy)
+    rng = random.Random(27)
+    stale, inner_starts, found = 0, 0, {name: 0 for name in patterns}
+    for _ in range(60):
+        g = skewed_merged_egraph(rng)
+        stale += has_stale_or_repeated_parent(g)
+        for name, text in patterns.items():
+            pattern = parse_pattern(text, MATH)
+            del walked_from[:]
+            matches = ematch(g, pattern)
+            assert _listing(matches) == _listing(naive_ematch(g, pattern)), (name, g.dump())
+            assert g.invariant_check() == [], name
+            found[name] += len(matches)
+            if name == "inner op":
+                inner_starts += walked_from == ["-"]
+    assert stale >= 30 and inner_starts >= 30
+    assert found["absent op"] == found["absent leaf"] == 0
+    assert all(found[name] for name in ("inner op", "nonlinear", "leaf two levels down"))
+
+
+def test_a_start_op_without_a_class_hands_the_vm_no_candidate(monkeypatch):
+    g = EGraph()
+    for text in ("(+ (* a b) c)", "(+ 1 2)", "(* (+ a 1) 2)"):
+        g.add_term(parse_term(text, MATH))
+    g.rebuild()
+    handed = _root_nodes_handed(monkeypatch)
+    for text in ("(+ (/ ?a ?b) ?c)", "(* ?a 7)", "(/ ?a ?b)"):
+        assert ematch(g, parse_pattern(text, MATH)) == [], text
+    assert handed == []
+    assert ematch(g, parse_pattern("(+ (* ?a ?b) ?c)", MATH))
+    assert handed == [1]
