@@ -2,8 +2,9 @@
 
 Runs identical workloads with invariant restoration after every merge
 (immediate) and once per phase boundary (deferred), records repair calls
-and congruence time (applying matches plus rebuilding), and cross-checks
-that both strategies produce identical e-graphs up to class renaming.
+and congruence time (applying matches plus rebuilding), and checks the
+graphs it times: each keeps its invariants, and both strategies produce
+identical e-graphs up to class renaming.
 """
 from __future__ import annotations
 
@@ -24,8 +25,9 @@ from .domains import math as math_domain
 
 
 class RebuildStrategy(Enum):
-    IMMEDIATE = "immediate"
+    # the order each repeat runs them in
     DEFERRED = "deferred"
+    IMMEDIATE = "immediate"
 
 
 @dataclass
@@ -46,16 +48,14 @@ class BenchRecord:
     kind: str = "direct"
 
     def csv_row(self) -> dict:
-        return {
-            "workload": self.workload,
-            "strategy": self.strategy,
+        renamed = {
             "iters": self.iterations,
-            "rewrites": self.rewrites,
-            "repairs": self.repairs,
             "congruence_ms": round(self.congruence_s * 1000, 4),
             "total_ms": round(self.total_s * 1000, 4),
-            "enodes": self.enodes,
-            "eclasses": self.eclasses,
+        }
+        return {
+            column: renamed[column] if column in renamed else getattr(self, column)
+            for column in CSV_COLUMNS
         }
 
 
@@ -94,9 +94,10 @@ def partition_signature(egraph: EGraph, root_ids: Sequence[int] = ()) -> tuple:
 
 
 class BenchMismatch(Exception):
-    """The two strategies produced different e-graphs; engine bug.
+    """A kept graph broke its invariants, or the two strategies produced
+    different e-graphs; engine bug.
 
-    Carries the serialized graphs of the disagreeing runs for inspection.
+    Carries both strategies' serialized graphs for inspection.
     """
 
     def __init__(self, message, graph_dumps=()):
@@ -224,84 +225,75 @@ def default_workloads() -> list[Workload]:
     return workloads
 
 
-def run_workload(
-    workload: Workload, strategy: RebuildStrategy, repeats: int = 5
-) -> BenchRecord:
-    return _run_strategies(workload, [strategy], repeats)[0]
-
-
-def _run_strategies(
-    workload: Workload, strategies: Sequence[RebuildStrategy], repeats: int
-) -> list[BenchRecord]:
-    """One record per strategy.  Counters come from a single run (they are
-    exactly reproducible); wall-clock times are medians over the repeats,
-    and the strategies take turns within each repeat, so that a change in
-    the host's speed reaches each of them alike.  ``total_s`` times the
-    whole ``workload.run`` call; ``congruence_s`` sums its series."""
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    runs = [([], []) for _ in strategies]
+def _bench_workload(workload: Workload, repeats: int) -> list[BenchRecord]:
+    """One record per strategy.  Each repeat runs deferred, then immediate,
+    so that a change in the host's speed reaches both alike; wall-clock
+    times are medians over the repeats (``total_s`` times the whole
+    ``workload.run`` call, ``congruence_s`` sums its series).  Only the
+    first repeat's graphs are kept: the counters are exactly reproducible,
+    so both records come from them, and so do the checks and any dumps."""
+    totals = {s: [] for s in RebuildStrategy}
+    congruences = {s: [] for s in RebuildStrategy}
+    kept = {}
     for _ in range(repeats):
-        for strategy, (results, totals) in zip(strategies, runs):
+        for strategy in RebuildStrategy:
             start = time.perf_counter()
-            results.append(workload.run(strategy))
-            totals.append(time.perf_counter() - start)
+            result = workload.run(strategy)
+            totals[strategy].append(time.perf_counter() - start)
+            congruences[strategy].append(sum(seconds for _, seconds in result[2]))
+            kept.setdefault(strategy, result)
+            # a later repeat's graph is freed before the next run builds one
+            del result
+
+    def mismatch(what: str) -> BenchMismatch:
+        dumps = [egraph.to_json_dict() for egraph, _, _ in kept.values()]
+        return BenchMismatch(f"{workload.name}: {what}", dumps)
+
     records = []
-    for strategy, (results, totals) in zip(strategies, runs):
-        congruences = [sum(seconds for _, seconds in series) for _, _, series in results]
-        egraph, root_ids, series = results[0]
+    for strategy, (egraph, root_ids, series) in kept.items():
+        violations = egraph.invariant_check()
+        if violations:
+            raise mismatch(
+                f"the {strategy.value} graph breaks its invariants: "
+                + "; ".join(violations[:3])
+            )
         extractor = Extractor(egraph)
-        roots_best = tuple(str(extractor.best(r)[0]) for r in root_ids)
         records.append(BenchRecord(
             workload=workload.name,
             strategy=strategy.value,
             iterations=len(series),
             rewrites=series[-1][0] if series else 0,
             repairs=egraph.repair_calls,
-            congruence_s=sorted(congruences)[repeats // 2],
-            total_s=sorted(totals)[repeats // 2],
+            congruence_s=statistics.median_high(congruences[strategy]),
+            total_s=statistics.median_high(totals[strategy]),
             enodes=egraph.n_nodes(),
             eclasses=egraph.n_classes(),
             series=series,
             signature=partition_signature(egraph, root_ids),
-            extracted=roots_best,
+            extracted=tuple(str(extractor.best(r)[0]) for r in root_ids),
             kind=workload.kind,
         ))
+    differ = [
+        name for name in ("enodes", "eclasses", "signature", "extracted")
+        if getattr(records[0], name) != getattr(records[1], name)
+    ]
+    if differ:
+        raise mismatch(f"{', '.join(differ)} differ between deferred and immediate")
     return records
 
 
 def run_bench(
-    workloads: Optional[Sequence[Workload]] = None,
-    strategies: Sequence[RebuildStrategy] = (
-        RebuildStrategy.DEFERRED,
-        RebuildStrategy.IMMEDIATE,
-    ),
-    repeats: int = 5,
+    workloads: Optional[Sequence[Workload]] = None, repeats: int = 5
 ) -> list[BenchRecord]:
-    """One record per (workload, strategy); raises BenchMismatch unless all
-    strategies agree on the final e-graph."""
-    workloads = list(workloads) if workloads is not None else default_workloads()
-    records = []
-    for workload in workloads:
-        per_strategy = _run_strategies(workload, strategies, repeats)
-        first = per_strategy[0]
-        for other in per_strategy[1:]:
-            if other.signature != first.signature or other.extracted != first.extracted:
-                what = (
-                    "partition" if other.signature != first.signature
-                    else "extracted terms"
-                )
-                dumps = [
-                    workload.run(RebuildStrategy(record.strategy))[0].to_json_dict()
-                    for record in (first, other)
-                ]
-                raise BenchMismatch(
-                    f"{workload.name}: {what} differ between "
-                    f"{first.strategy} and {other.strategy}",
-                    dumps,
-                )
-        records.extend(per_strategy)
-    return records
+    """A deferred and an immediate record per workload (the default suite
+    if none is given), each run ``repeats`` times.  Raises BenchMismatch,
+    with both strategies' graphs dumped, when a graph breaks its invariants
+    or the two disagree on node count, class count, partition or extracted
+    terms."""
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    workloads = default_workloads() if workloads is None else workloads
+    return [record for w in workloads for record in _bench_workload(w, repeats)]
 
 
 def _ranks(values: Sequence[float]) -> list[float]:
@@ -346,27 +338,17 @@ def speedup_report(records: Sequence[BenchRecord]) -> dict:
     for name, pair in sorted(by_workload.items()):
         if {"deferred", "immediate"} <= set(pair):
             deferred, immediate = pair["deferred"], pair["immediate"]
-            denom = max(deferred.congruence_s, 1e-9)
-            speedups[name] = immediate.congruence_s / denom
-            points = []
-            for (rewrites, d_time), (_, i_time) in zip(
-                deferred.series, immediate.series
-            ):
-                points.append(
-                    {
-                        "cumulative_rewrites": rewrites,
-                        "speedup": i_time / max(d_time, 1e-9),
-                    }
-                )
-            series[name] = points
+            speedups[name] = immediate.congruence_s / max(deferred.congruence_s, 1e-9)
+            series[name] = [
+                {"cumulative_rewrites": rewrites, "speedup": i_time / max(d_time, 1e-9)}
+                for (rewrites, d_time), (_, i_time) in zip(deferred.series, immediate.series)
+            ]
     repair_time_pairs = [
         (r.repairs, r.congruence_s) for r in records if r.repairs > 0
     ]
     correlation = None
     if len(repair_time_pairs) >= 2:
-        correlation = spearman(
-            [p[0] for p in repair_time_pairs], [p[1] for p in repair_time_pairs]
-        )
+        correlation = spearman(*zip(*repair_time_pairs))
     return {
         "speedups": speedups,
         "geometric_mean_speedup": geometric_mean(list(speedups.values())),

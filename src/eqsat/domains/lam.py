@@ -184,9 +184,6 @@ class RenameBinder(Applier):
     def pattern_vars(self):
         return tuple(v for v in self.rhs.vars() if v != self.fresh)
 
-    def fresh_vars(self):
-        return (self.fresh,)
-
 
 class AddProbes(Applier):
     """Adds the instantiated probe terms and merges nothing with the match.

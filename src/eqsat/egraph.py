@@ -12,7 +12,6 @@ the traditional eager behavior; deferring it amortizes the work.
 """
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
 from typing import Iterable, NamedTuple, Optional
 
@@ -36,6 +35,11 @@ def enode_sort_key(node: ENode):
         value = int(op.value) if op.kind == "bool" else op.value
         return (1, op.kind, value, node.children)
     return (0, op, 0, node.children)
+
+
+class _ProbeChange(Exception):
+    """An analysis ``modify`` hook tried to change the graph while
+    ``invariant_check`` probed it."""
 
 
 class DirtyGraphError(AssertionError):
@@ -333,7 +337,9 @@ class EGraph:
 
     def invariant_check(self) -> list[str]:
         """Exhaustively verify the congruence, hashcons, and analysis
-        invariants; returns a list of violations (empty iff clean)."""
+        invariants; returns a list of violations (empty iff clean).  It
+        shadows ``add`` and ``merge`` while it probes the analysis, so like
+        a mutation it needs exclusive access."""
         violations = []
         find = self.uf.find
         owner: dict[ENode, int] = {}
@@ -427,14 +433,28 @@ class EGraph:
                     f"analysis data of class {class_id} is {eclass.data!r}, "
                     f"recomputed join gives {joined!r}"
                 )
-        # modify may add and merge, so probe it on a copy: checking never
-        # changes the graph it checks
-        probe = copy.deepcopy(self)
-        before = (len(probe.classes), probe.n_nodes(), probe.union_count)
-        for class_id in list(probe.classes):
-            probe.analysis.modify(probe, probe.uf.find(class_id))
-        if (len(probe.classes), probe.n_nodes(), probe.union_count) != before:
+        # modify may add and merge; probe it in place with both shadowed, so
+        # that a call that would change the graph raises instead: checking
+        # never changes the graph it checks
+        def probe_add(node: ENode) -> int:
+            found = self.lookup(node)
+            if found is None:
+                raise _ProbeChange
+            return found
+
+        def probe_merge(a: int, b: int) -> int:
+            if self.find(a) != self.find(b):
+                raise _ProbeChange
+            return self.find(a)
+
+        self.add, self.merge = probe_add, probe_merge
+        try:
+            for class_id in list(self.classes):
+                self.analysis.modify(self, self.find(class_id))
+        except _ProbeChange:
             violations.append("analysis modify hook is not at a fixpoint")
+        finally:
+            del self.add, self.merge
         return violations
 
     def format_node(self, node: ENode) -> str:

@@ -42,10 +42,6 @@ class Applier:
         """Variables the applier needs bound by the searcher."""
         return ()
 
-    def fresh_vars(self) -> tuple[str, ...]:
-        """Variables the applier binds itself at apply time."""
-        return ()
-
 
 @dataclass
 class PatternApplier(Applier):
@@ -132,8 +128,7 @@ class Rewrite:
     def __post_init__(self):
         self.conditions = tuple(self.conditions)
         searched = set(self.searcher.vars())
-        bound = searched | set(self.applier.fresh_vars())
-        missing = [v for v in self.applier.pattern_vars() if v not in bound]
+        missing = [v for v in self.applier.pattern_vars() if v not in searched]
         if missing:
             raise RewriteError(
                 f"rewrite {self.name!r} uses unbound variables: {', '.join(missing)}"

@@ -25,10 +25,8 @@ from eqsat import (
     run,
 )
 from eqsat.bench import (
-    RebuildStrategy,
     default_workloads,
     run_bench,
-    run_workload,
     chain_workload,
     spearman,
     speedup_report,
@@ -191,13 +189,9 @@ def test_criterion_5_asymptotics():
     deferred_counts = {}
     immediate_counts = {}
     for w in (10, 50, 100):
-        workload = chain_workload(w, d)
-        deferred_counts[w] = run_workload(
-            workload, RebuildStrategy.DEFERRED, repeats=1
-        ).repairs
-        immediate_counts[w] = run_workload(
-            workload, RebuildStrategy.IMMEDIATE, repeats=1
-        ).repairs
+        deferred, immediate = run_bench([chain_workload(w, d)], repeats=1)
+        deferred_counts[w] = deferred.repairs
+        immediate_counts[w] = immediate.repairs
     # deferred stays within a constant band of d, independent of width
     assert len(set(deferred_counts.values())) == 1
     for count in deferred_counts.values():

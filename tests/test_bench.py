@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -15,10 +17,10 @@ from eqsat.bench import (
     records_to_csv,
     records_to_jsonl,
     run_bench,
-    run_workload,
     saturation_workload,
     spearman,
     speedup_report,
+    Workload,
 )
 from eqsat import EGraph, ENode, sym
 
@@ -33,38 +35,38 @@ def small_suite():
 
 def test_repair_counts_deterministic():
     workload = chain_workload(10, 5)
-    first = run_workload(workload, RebuildStrategy.DEFERRED, repeats=1)
-    second = run_workload(workload, RebuildStrategy.DEFERRED, repeats=1)
-    assert first.repairs == second.repairs
-    assert first.enodes == second.enodes
+    first = run_bench([workload], repeats=1)
+    second = run_bench([workload], repeats=1)
+    assert [r.repairs for r in first] == [r.repairs for r in second]
+    assert [r.enodes for r in first] == [r.enodes for r in second]
 
 
-def test_run_workload_rejects_repeats_below_one():
+def test_run_bench_rejects_repeats_below_one():
     with pytest.raises(ValueError, match="repeats"):
-        run_workload(chain_workload(3, 2), RebuildStrategy.DEFERRED, repeats=0)
+        run_bench([chain_workload(3, 2)], repeats=0)
 
 
 def test_deferred_repairs_bounded_by_depth():
     d = 8
     for w in (5, 15, 30):
-        record = run_workload(chain_workload(w, d), RebuildStrategy.DEFERRED, repeats=1)
-        assert record.repairs <= 3 * d
+        deferred, _ = run_bench([chain_workload(w, d)], repeats=1)
+        assert deferred.repairs <= 3 * d
 
 
 def test_immediate_repairs_grow_with_width():
     d = 8
     counts = []
     for w in (5, 15, 30):
-        record = run_workload(chain_workload(w, d), RebuildStrategy.IMMEDIATE, repeats=1)
-        counts.append(record.repairs)
+        _, immediate = run_bench([chain_workload(w, d)], repeats=1)
+        counts.append(immediate.repairs)
     assert counts[0] < counts[1] < counts[2]
     assert counts[2] >= (30 - 1) * d / 2
 
 
 def test_deferred_never_more_repairs():
     for workload in small_suite():
-        deferred = run_workload(workload, RebuildStrategy.DEFERRED, repeats=1)
-        immediate = run_workload(workload, RebuildStrategy.IMMEDIATE, repeats=1)
+        deferred, immediate = run_bench([workload], repeats=1)
+        assert (deferred.strategy, immediate.strategy) == ("deferred", "immediate")
         assert deferred.repairs <= immediate.repairs
 
 
@@ -129,8 +131,6 @@ def test_speedup_grows_with_width():
 
 
 def test_strategy_mismatch_is_hard_failure():
-    from eqsat.bench import Workload
-
     def fake_run(strategy):
         g = EGraph()
         a = g.add(ENode(sym("a"), ())), g.add(ENode(sym("b"), ()))
@@ -144,6 +144,85 @@ def test_strategy_mismatch_is_hard_failure():
     # the serialized graphs of both runs ride along for diagnosis
     assert len(err.value.graph_dumps) == 2
     assert all(d["schema"] == 1 for d in err.value.graph_dumps)
+
+
+def one_leaf_run(strategy):
+    g = EGraph()
+    a = g.add(ENode(sym("a"), ()))
+    return g, [a], [(0, 0.0)]
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+@pytest.mark.parametrize("mismatch", [False, True], ids=["agree", "differ"])
+def test_each_repeat_runs_each_strategy_once(mismatch, repeats):
+    calls = []
+
+    def fake_run(strategy):
+        calls.append(strategy.value)
+        g, roots, series = one_leaf_run(strategy)
+        if mismatch and strategy is RebuildStrategy.IMMEDIATE:
+            g.add(ENode(sym("b"), ()))
+        return g, roots, series
+
+    if mismatch:
+        with pytest.raises(BenchMismatch):
+            run_bench([Workload("fake", fake_run)], repeats=repeats)
+    else:
+        assert len(run_bench([Workload("fake", fake_run)], repeats=repeats)) == 2
+    # a mismatch runs nothing again
+    assert calls == ["deferred", "immediate"] * repeats
+
+
+def test_mismatch_dumps_the_graphs_it_compared():
+    calls = 0
+
+    def fake_run(strategy):
+        # the k-th run makes k leaves, so a graph from any other run than
+        # the first repeat's has another class count
+        nonlocal calls
+        calls += 1
+        g = EGraph()
+        ids = [g.add(ENode(sym(f"x{i}"), ())) for i in range(calls)]
+        return g, ids[:1], [(0, 0.0)]
+
+    with pytest.raises(BenchMismatch, match="fake: enodes, eclasses") as err:
+        run_bench([Workload("fake", fake_run)], repeats=3)
+    # the deferred and immediate records compared had 1 and 2 classes
+    assert [d["eclasses"] for d in err.value.graph_dumps] == [1, 2]
+
+
+def test_a_later_repeat_graph_is_freed_once_timed():
+    graphs = []
+
+    def fake_run(strategy):
+        gc.collect()
+        alive = [ref() is not None for ref in graphs]
+        # the first repeat's two graphs are kept to the end; each later one
+        # is freed before the next run starts
+        assert all(alive[:2]) and not any(alive[2:]), alive
+        g, roots, series = one_leaf_run(strategy)
+        graphs.append(weakref.ref(g))
+        return g, roots, series
+
+    run_bench([Workload("fake", fake_run)], repeats=3)
+    assert len(graphs) == 6
+
+
+def test_a_graph_that_breaks_its_invariants_is_a_mismatch():
+    def fake_run(strategy):
+        g, roots, series = one_leaf_run(strategy)
+        parent = ENode("f", (roots[0],))
+        g.add(parent)
+        if strategy is RebuildStrategy.IMMEDIATE:
+            del g.hashcons[parent]
+        return g, roots, series
+
+    with pytest.raises(
+        BenchMismatch,
+        match="fake: the immediate graph breaks its invariants: .*hashcons entry missing",
+    ) as err:
+        run_bench([Workload("fake", fake_run)], repeats=1)
+    assert len(err.value.graph_dumps) == 2
 
 
 def test_partition_signature_distinguishes():

@@ -1,5 +1,6 @@
 import copy
 import random
+import threading
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -421,6 +422,31 @@ def test_invariant_check_leaves_graph_unchanged(eager):
     before = (g.dump(), g.union_count, g.n_nodes(), g.clean)
     violations = g.invariant_check()
     assert "analysis modify hook is not at a fixpoint" in violations
+    assert (g.dump(), g.union_count, g.n_nodes(), g.clean) == before
+
+
+def test_invariant_check_probes_modify_without_a_copy():
+    # an analysis may hold what cannot be copied, such as a lock
+    class Locked(Analysis):
+        def __init__(self):
+            self.lock = threading.Lock()
+
+    g = EGraph(Locked())
+    g.add(ENode("f", (g.add(leaf("a")),)))
+    g.rebuild()
+    assert g.invariant_check() == []
+    # the probe's stand-ins for add and merge are gone again
+    assert "add" not in vars(g) and "merge" not in vars(g)
+
+
+def test_invariant_check_reports_a_modify_that_would_merge():
+    g = math_egraph()
+    g.add_term(parse_term("(+ a 1)", MATH))
+    g.rebuild()
+    # the leaf 1 exists, so folding a to 1 would merge two classes
+    g[g.lookup(ENode(sym("a"), ()))].data = 1
+    before = (g.dump(), g.union_count, g.n_nodes(), g.clean)
+    assert "analysis modify hook is not at a fixpoint" in g.invariant_check()
     assert (g.dump(), g.union_count, g.n_nodes(), g.clean) == before
 
 

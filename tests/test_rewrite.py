@@ -6,6 +6,7 @@ from eqsat import (
     Rewrite,
     apply_rewrite,
     num,
+    parse_pattern,
     parse_rules,
     parse_term,
     sym,
@@ -16,7 +17,7 @@ from eqsat.rewrite import (
     is_nonzero_const,
     is_not_same_var,
 )
-from eqsat.domains.lam import LAMBDA, lambda_rules, make_egraph as lam_egraph
+from eqsat.domains.lam import LAMBDA, RenameBinder, lambda_rules, make_egraph as lam_egraph
 from eqsat.domains.math import MATH, make_egraph as math_egraph
 
 from helpers import kept_matches
@@ -131,6 +132,15 @@ def test_condition_equal_lookup_semantics():
 def test_unbound_applier_variable_rejected():
     with pytest.raises(RewriteError):
         Rewrite.parse("bad", "(+ ?a ?b)", "(+ ?a ?c)", MATH)
+
+
+def test_rename_binder_variables_must_be_searched_or_fresh():
+    lhs = parse_pattern("(lam ?v ?body)", LAMBDA)
+    # the fresh variable needs no binding by the left-hand side
+    Rewrite("ok", lhs, RenameBinder("?fresh", "(lam ?fresh (let ?v (var ?fresh) ?body))"))
+    with pytest.raises(RewriteError, match=r"unbound variables: \?other"):
+        Rewrite("bad", lhs, RenameBinder("?fresh", "(lam ?fresh ?other)"))
+    assert any(r.name == "let-lam-rename" for r in lambda_rules())
 
 
 @pytest.mark.parametrize(
