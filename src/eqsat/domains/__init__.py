@@ -1,6 +1,4 @@
 """Shipped rule sets: `math` (algebra with constant folding) and `lam`
 (lambda-calculus partial evaluation with a free-variable analysis)."""
 
-from . import lam, math
-
 __all__ = ["lam", "math"]

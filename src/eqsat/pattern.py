@@ -1,23 +1,26 @@
 """Patterns with variables and e-matching.
 
-Patterns compile to a small instruction program that a backtracking
-virtual machine runs against the classes of a clean graph.  ``ematch`` runs
-it over every candidate class and returns the substitutions under which
-the pattern is represented there.  Each search starts at the pattern node
-with the fewest candidate classes (the join-order choice of relational
+A pattern compiles once, at construction, to a match program: a short list
+of Bind and Compare instructions over registers.  On first use the program
+becomes one generated Python function, its matcher (nested loops, one per
+operator node), and the pattern one generated builder (straight-line
+``add`` or ``lookup`` calls); see ``codegen``.  ``ematch`` runs the matcher
+over every candidate class and returns the substitutions under which the
+pattern is represented there.  Each search starts at the pattern node with
+the fewest candidate classes (the join-order choice of relational
 e-matching) and, below the root, walks the parent lists up from them to the
-root nodes the VM tries; the matches are sorted only when read.
+root nodes the matcher tries; the matches are sorted only when read.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .egraph import EGraph, ENode
-from .language import LanguageDef, Leaf, Op, is_var, print_term, read_one
+from .language import LanguageDef, Op, is_var, print_term, read_one
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,14 @@ class Pattern:
 
     def __post_init__(self):
         object.__setattr__(self, "program", compile_pattern(self))
+
+    @cached_property
+    def builder(self):
+        """The generated instantiation function (see
+        ``codegen.generate_builder``), made on first use."""
+        from .codegen import generate_builder
+
+        return generate_builder(self)
 
     def vars(self) -> tuple[str, ...]:
         """Variable names in first-occurrence order, deduplicated."""
@@ -46,7 +57,7 @@ def parse_pattern(text: str, lang: LanguageDef) -> Pattern:
 
 
 # ----------------------------------------------------------------------
-# compilation to a small virtual machine
+# compilation to a match program
 
 class Bind(NamedTuple):
     """Check that the class held by `reg` has a node with this op/arity and
@@ -92,6 +103,14 @@ class MatchProgram:
     n_regs: int
     starts: tuple[Start, ...]
 
+    @cached_property
+    def matcher(self):
+        """The generated function that `run_program` calls (see
+        ``codegen.generate_matcher``), made on first use."""
+        from .codegen import generate_matcher
+
+        return generate_matcher(self)
+
 
 def compile_pattern(pattern: Pattern) -> MatchProgram:
     nodes = pattern.nodes
@@ -124,7 +143,7 @@ def run_program(
     program: MatchProgram,
     candidates: Iterable[tuple[int, Sequence[ENode]]],
 ) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """Execute a match program on a clean graph.  Each candidate is a class
+    """Run a program's matcher on a clean graph.  Each candidate is a class
     id and the distinct canonical nodes of that class that the root Bind
     searches for its op: the class's sorted node list, or nodes that all
     have the root op.  Returns ``(class id, matches)`` for the candidates
@@ -132,87 +151,12 @@ def run_program(
     in ``program.var_regs`` order.
 
     The matches of a class are distinct, in no particular order.  No set
-    is needed: every node list the VM tries is deduplicated, and a canonical
-    node lives in one class, so a binding tuple rebuilds bottom-up the one
-    node each Bind picked (a leaf's node, or the op over the classes of its
-    children) and the class it sits in; two different paths through the
-    choices cannot give the same tuple.
-
-    Every id the VM reads is already canonical in a clean graph, so it
-    compares registers without ``find``.  Backtracking is an explicit stack
-    of Bind frames ``[pc, nodes, next index, end]``."""
-    code = program.instructions
-    end = len(code)
-    slots = [reg for _, reg in program.var_regs]
-    # itemgetter returns a tuple only for two or more indexes
-    pick = (
-        itemgetter(*slots) if len(slots) > 1 else lambda r: tuple([r[i] for i in slots])
-    )
-    regs = [0] * program.n_regs
-    classes, hashcons = egraph.classes, egraph.hashcons
-    stack: list[list] = []
-    results = []
-    for class_id, roots in candidates:
-        regs[0] = class_id
-        found: list[tuple[int, ...]] = []
-        pc = 0
-        while True:
-            while pc < end:
-                ins = code[pc]
-                if ins.__class__ is Compare:
-                    if regs[ins.reg] != regs[ins.other]:
-                        break
-                elif not ins.arity:
-                    # (op, ()) hashes and compares like ENode(op, ())
-                    if hashcons.get((ins.op, ())) != regs[ins.reg]:
-                        break
-                else:
-                    nodes = classes[regs[ins.reg]].nodes if pc else roots
-                    op = ins.op
-                    lo, hi = 0, len(nodes)
-                    while lo < hi:  # bisect the operator prefix; leaves compare high
-                        mid = (lo + hi) // 2
-                        mid_op = nodes[mid].op
-                        if mid_op.__class__ is str and mid_op < op:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    hi = lo
-                    while hi < len(nodes) and nodes[hi].op == op:
-                        hi += 1
-                    if pc + 1 < end:
-                        stack.append([pc, nodes, lo, hi])
-                        break
-                    # the last instruction: each node in the run is a match
-                    base, arity = ins.out, ins.arity
-                    for node in nodes[lo:hi]:
-                        kids = node.children
-                        if len(kids) == arity:
-                            regs[base : base + arity] = kids
-                            found.append(pick(regs))
-                    break
-                pc += 1
-            else:
-                found.append(pick(regs))
-            # resume the innermost Bind that has a node left to try
-            while stack:
-                frame = stack[-1]
-                pc, nodes, i, hi = frame
-                if i == hi:
-                    stack.pop()
-                    continue
-                frame[2] = i + 1
-                kids = nodes[i].children
-                ins = code[pc]
-                if len(kids) == ins.arity:
-                    regs[ins.out : ins.out + ins.arity] = kids
-                    pc += 1
-                    break
-            else:
-                break
-        if found:
-            results.append((class_id, found))
-    return results
+    is needed: every node list the matcher tries is deduplicated, and a
+    canonical node lives in one class, so a binding tuple rebuilds bottom-up
+    the one node each Bind picked (a leaf's node, or the op over the classes
+    of its children) and the class it sits in; two different paths through
+    the choices cannot give the same tuple."""
+    return program.matcher(egraph.classes, egraph.hashcons, candidates)
 
 
 def _roots_above(
@@ -241,7 +185,7 @@ def _roots_above(
 
 
 class Substitutions(Sequence):
-    """A read-only list of substitutions kept as the VM's id tuples: one
+    """A read-only list of substitutions kept as the matcher's id tuples: one
     slot per name in `names`.  Reading an item builds its dict; ``len``
     needs none.  Compares equal to the list of dicts it reads as.
 
@@ -304,8 +248,8 @@ def ematch(egraph: EGraph, pattern: Pattern) -> list[SearchMatches]:
     the root's op bucket (every class, for a variable root), an inner op's
     bucket, or a ground leaf's one class (none if the leaf is absent); a tie
     keeps the node nearer the root.  Below the root, it walks the parent
-    lists up from those classes, so the VM tries only the root nodes above
-    them; at the root, it tries the root op's run in each class."""
+    lists up from those classes, so the matcher tries only the root nodes
+    above them; at the root, it tries the root op's run in each class."""
     egraph.require_clean("ematch")
     program = pattern.program
     at, level = 0, egraph.class_ids()
@@ -335,27 +279,18 @@ class UnboundVariable(KeyError):
     pass
 
 
-def _instantiate(pattern: Pattern, subst: dict[str, int], node_class) -> Optional[int]:
-    """Postorder loop over the pattern: variables read from the substitution,
-    every other node passed to `node_class`; None as soon as that gives None."""
-    ids: list[int] = []
-    for op, kids in pattern.nodes:
-        if isinstance(op, Leaf) and op.kind == "var":  # is_var, inlined: hot loop
-            try:
-                ids.append(subst[op.value])
-            except KeyError:
-                raise UnboundVariable(op.value) from None
-        else:
-            found = node_class(ENode(op, tuple([ids[k] for k in kids])))
-            if found is None:
-                return None
-            ids.append(found)
-    return ids[-1]
+def subst_ids(pattern: Pattern, subst: dict[str, int]) -> tuple[int, ...]:
+    """The classes `subst` gives the pattern's variables, in its builder's
+    (``program.var_regs``) order."""
+    try:
+        return tuple([subst[name] for name, _ in pattern.program.var_regs])
+    except KeyError as exc:
+        raise UnboundVariable(exc.args[0]) from None
 
 
 def apply_subst(pattern: Pattern, subst: dict[str, int], egraph: EGraph) -> int:
     """Instantiate a pattern bottom-up via add; returns the root class id."""
-    return _instantiate(pattern, subst, egraph.add)
+    return pattern.builder(egraph.add, subst_ids(pattern, subst))
 
 
 def lookup_subst(
@@ -363,5 +298,5 @@ def lookup_subst(
 ) -> Optional[int]:
     """Like apply_subst but read-only: returns the class id the instantiated
     pattern would land in, or None if any piece of it is absent."""
-    found = _instantiate(pattern, subst, egraph.lookup)
+    found = pattern.builder(egraph.lookup, subst_ids(pattern, subst))
     return None if found is None else egraph.find(found)

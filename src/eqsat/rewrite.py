@@ -8,17 +8,20 @@ change their answer.  An applier only instantiates what a kept match says.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Iterable, Optional
 
 from .egraph import EGraph
 from .language import LanguageDef, LanguageError, read_sexp, tokenize
 from .pattern import (
     Pattern,
     SearchMatches,
+    Substitutions,
     apply_subst,
     ematch,
     lookup_subst,
     parse_pattern,
+    subst_ids,
 )
 
 # A condition may declare the pattern variables it reads as a `variables`
@@ -155,6 +158,17 @@ class Rewrite:
     def search(self, egraph: EGraph) -> list[SearchMatches]:
         return ematch(egraph, self.searcher)
 
+    @cached_property
+    def _applier_ids(self) -> Optional[Callable]:
+        """For a `PatternApplier`: the function from a match's id tuple to
+        the one its pattern's builder reads, or None when they are the same;
+        made on first use."""
+        names = [name for name, _ in self.searcher.program.var_regs]
+        slots = [names.index(name) for name, _ in self.applier.pattern.program.var_regs]
+        if slots != list(range(len(names))):
+            return lambda ids: tuple([ids[i] for i in slots])
+        return None
+
 
 def apply_rewrite(
     egraph: EGraph, rewrite: Rewrite, matches: list[SearchMatches]
@@ -162,15 +176,29 @@ def apply_rewrite(
     """Apply previously collected matches; returns how many substitutions
     performed at least one new union.  May leave the graph dirty.  It
     decides no condition: a caller passing `Rewrite.search` output must
-    first drop the matches whose conditions do not hold."""
+    first drop the matches whose conditions do not hold.  A plain
+    `PatternApplier` is given each match's id tuple, with no dict."""
     applied = 0
+    applier, merge = rewrite.applier, egraph.merge
+    if type(applier) is PatternApplier:
+        pattern, add, pick = applier.pattern, egraph.add, rewrite._applier_ids
+        build = pattern.builder
+        for eclass, substs in matches:
+            if isinstance(substs, Substitutions):
+                rows = substs.ids if pick is None else map(pick, substs.ids)
+            else:  # substitution dicts, as a caller that filtered them passes
+                rows = [subst_ids(pattern, subst) for subst in substs]
+            for ids in rows:
+                before = egraph.union_count
+                merge(eclass, build(add, ids))
+                applied += egraph.union_count > before
+        return applied
     for eclass, substs in matches:
         for subst in substs:
             before = egraph.union_count
-            for produced in rewrite.applier.apply_one(egraph, eclass, subst):
-                egraph.merge(eclass, produced)
-            if egraph.union_count > before:
-                applied += 1
+            for produced in applier.apply_one(egraph, eclass, subst):
+                merge(eclass, produced)
+            applied += egraph.union_count > before
     return applied
 
 

@@ -121,11 +121,10 @@ class RuleStats:
 
 
 class _AppliedInstances:
-    """The instances a run has applied, per rule: ``(class id,
-    *substitution ids)``, the ids read from the `Substitutions` tuples
-    (variable-name order), so no dict is built.  An instance is recorded
-    when it is kept: each kept instance is applied in the same iteration,
-    or else the run ends.
+    """The instances a run has applied, per rule and class: the
+    `Substitutions` id tuples (variable-name order), so no dict or key is
+    built.  An instance is recorded when it is kept: each kept instance is
+    applied in the same iteration, or else the run ends.
 
     An applier's result depends on the class id and the substitution alone,
     the graph only grows, and congruence holds at every clean point: so an
@@ -136,7 +135,7 @@ class _AppliedInstances:
     later."""
 
     def __init__(self, rules: Sequence[Rewrite]):
-        self.seen = [set() for _ in rules]
+        self.seen: list[dict[int, set]] = [{} for _ in rules]
 
     def to_apply(self, egraph: EGraph, index: int, rewrite: Rewrite, matches):
         """The matches of rule `index`, `rewrite`, not applied before and
@@ -145,9 +144,10 @@ class _AppliedInstances:
         seen, conditions = self.seen[index], rewrite.conditions
         kept, skipped = [], 0
         for eclass, substs in matches:
+            done = seen.get(eclass, ())
             new = []
             for i, ids in enumerate(substs.ids):
-                if (eclass, *ids) in seen:
+                if ids in done:
                     skipped += 1
                     continue
                 if conditions:
@@ -155,8 +155,8 @@ class _AppliedInstances:
                     if not all(cond(egraph, eclass, subst) for cond in conditions):
                         continue
                 new.append(ids)
-                seen.add((eclass, *ids))
             if new:
+                seen.setdefault(eclass, set()).update(new)
                 kept.append(SearchMatches(eclass, Substitutions(substs.names, new)))
         return kept, skipped
 

@@ -143,7 +143,7 @@ def is_pattern_var(op) -> bool:
 
 def naive_match_node(egraph: EGraph, pattern, index: int, class_id: int, subst: dict):
     """Direct recursive e-matching of the pattern node at `index`, the
-    reference for the compiled VM."""
+    reference for the compiled matcher."""
     class_id = egraph.find(class_id)
     op, kids = pattern.nodes[index]
     if is_pattern_var(op):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eqsat.codegen as codegen
 import eqsat.pattern as pattern_module
 from eqsat import (
     Applier,
@@ -31,7 +32,7 @@ from eqsat import (
     run,
     sym,
 )
-from eqsat.pattern import Bind, Compare, Start
+from eqsat.pattern import Bind, Compare, Start, UnboundVariable, lookup_subst
 from eqsat.domains.lam import LAMBDA, lambda_rules
 from eqsat.domains.math import MATH, make_egraph, math_rules
 
@@ -707,3 +708,135 @@ def test_a_start_op_without_a_class_hands_the_vm_no_candidate(monkeypatch):
     assert handed == []
     assert ematch(g, parse_pattern("(+ (* ?a ?b) ?c)", MATH))
     assert handed == [1]
+
+
+# Texts that would break the generated source if they were spliced into it:
+# quotes, a backslash, a comment sign and format braces.
+AWKWARD = ['a"b', "it's", "back\\slash", "x#1", "{}", "f'{r0}'\\n", '"""']
+AWKWARD_LANG = LanguageDef(
+    "awkward", {f"op{text}": 2 for text in AWKWARD} | {"{r0}": 1}, frozenset({"sym"})
+)
+
+
+def test_awkward_texts_match_and_instantiate_like_the_reference():
+    rng = random.Random(30)
+    ops = sorted(AWKWARD_LANG.operators)
+    patterns = [
+        parse_pattern(f"(op{text} {leaf} ?x)", AWKWARD_LANG)
+        for text, leaf in zip(AWKWARD, AWKWARD[1:] + AWKWARD[:1])
+    ]
+    patterns += [
+        parse_pattern(f'({{r0}} (op{AWKWARD[0]} ?x ?x))', AWKWARD_LANG),
+        parse_pattern(f"(op{AWKWARD[2]} ?y ({{r0}} {AWKWARD[3]}))", AWKWARD_LANG),
+    ]
+    found = 0
+    for _ in range(20):
+        g = EGraph()
+        ids = [g.add(ENode(sym(text), ())) for text in AWKWARD]
+        for _ in range(30):
+            op = rng.choice(ops)
+            kids = tuple(g.find(rng.choice(ids)) for _ in range(AWKWARD_LANG.operators[op]))
+            ids.append(g.add(ENode(op, kids)))
+        for _ in range(4):
+            g.merge(rng.choice(ids), rng.choice(ids))
+        g.rebuild()
+        for pattern in patterns:
+            matches = ematch(g, pattern)
+            assert _listing(matches) == _listing(naive_ematch(g, pattern)), str(pattern)
+            for m in matches:
+                for subst in m.substs:
+                    assert lookup_subst(pattern, subst, g) == m.eclass
+                    assert g.find(apply_subst(pattern, subst, g)) == m.eclass
+                    found += 1
+    assert found >= 20
+
+
+DEEP = LanguageDef("deep", {"f": 1, "g": 2}, frozenset({"sym"}))
+
+
+def deep_pattern_text(rng, levels, binary):
+    """A pattern with `levels` operator nodes on one path: ``g`` with the
+    path on one side and a variable or a leaf on the other, or (unless
+    `binary`) ``f`` over the path."""
+    text = rng.choice(["?x", "?y", "a"])
+    for _ in range(levels):
+        if not binary and rng.random() < 0.5:
+            text = f"(f {text})"
+            continue
+        other = rng.choice(["?x", "?y", "?z", "a", "b"])
+        text = f"(g {text} {other})" if rng.random() < 0.5 else f"(g {other} {text})"
+    return text
+
+
+def deep_egraph(rng, texts):
+    """The given pattern texts with their variables set to leaves, plus
+    random merges of the leaves and of the spine classes, so classes hold
+    several `f` and `g` nodes."""
+    g = EGraph()
+    for text in texts:
+        for x, y, z in [("a", "b", "a"), ("b", "b", "a"), ("a", "a", "b")]:
+            ground = text.replace("?x", x).replace("?y", y).replace("?z", z)
+            g.add_term(parse_term(ground, DEEP))
+    ids = list(g.classes)
+    for _ in range(3):
+        g.merge(rng.choice(ids), rng.choice(ids))
+    g.rebuild()
+    return g
+
+
+@pytest.mark.parametrize("levels", [15, 16, 17, 20, 25, 32, 33, 40])
+@pytest.mark.parametrize("binary", [False, True], ids=["spine", "binary"])
+def test_deep_patterns_agree_with_naive_across_stages(levels, binary):
+    # a matcher stage holds at most STAGE_LOOPS operator levels
+    assert codegen.STAGE_LOOPS == 16
+    rng = random.Random(levels * 2 + binary)
+    matched = 0
+    for _ in range(4):
+        texts = [deep_pattern_text(rng, levels, binary) for _ in range(3)]
+        g = deep_egraph(rng, texts)
+        for text in texts:
+            pattern = parse_pattern(text, DEEP)
+            found = _listing(ematch(g, pattern))
+            assert found == _listing(naive_ematch(g, pattern)), text
+            matched += len(found)
+    assert matched >= 12
+
+
+def reference_instantiate(pattern, subst, node_class):
+    """A postorder fold over ``pattern.nodes``: variables read from the
+    substitution, every other node passed to `node_class`; None as soon as
+    that gives None."""
+    ids = []
+    for op, kids in pattern.nodes:
+        if isinstance(op, Leaf) and op.kind == "var":
+            ids.append(subst[op.value])
+            continue
+        found = node_class(ENode(op, tuple(ids[k] for k in kids)))
+        if found is None:
+            return None
+        ids.append(found)
+    return ids[-1]
+
+
+def test_instantiation_agrees_with_a_reference_fold():
+    built = looked_up = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        graphs = [random_small_egraph(random.Random(seed), MATH)[0] for _ in range(2)]
+        pattern = random_pattern(rng)
+        subst = {var: rng.choice(sorted(graphs[0].classes)) for var in pattern.vars()}
+        ours = lookup_subst(pattern, subst, graphs[0])
+        theirs = reference_instantiate(pattern, subst, graphs[0].lookup)
+        assert ours == (None if theirs is None else graphs[0].find(theirs)), str(pattern)
+        looked_up += ours is not None
+        assert apply_subst(pattern, subst, graphs[0]) == reference_instantiate(
+            pattern, subst, graphs[1].add
+        ), str(pattern)
+        assert graphs[0].hashcons == graphs[1].hashcons
+        built += 1
+        if pattern.vars():
+            del subst[pattern.vars()[-1]]
+            for instantiate in (apply_subst, lookup_subst):
+                with pytest.raises(UnboundVariable):
+                    instantiate(pattern, subst, graphs[0])
+    assert looked_up >= 20 and built == 150

@@ -7,6 +7,7 @@ import pytest
 from eqsat import (
     BackoffScheduler,
     ENode,
+    Pattern,
     Rewrite,
     RunnerConfig,
     StopReason,
@@ -495,14 +496,23 @@ def test_non_pattern_applier_applies_each_instance_once():
 
 
 def _count_apply_subst(monkeypatch):
+    """Record ``(pattern, ids)`` for every instantiation by `EGraph.add`:
+    `apply_subst` and a plain pattern applier's id tuples both go through
+    the pattern's generated builder."""
     calls = []
-    inner = rewrite_module.apply_subst
+    make = Pattern.builder.func
 
-    def counted(pattern, subst, egraph):
-        calls.append((pattern, tuple(sorted(subst.items()))))
-        return inner(pattern, subst, egraph)
+    def counted(pattern):
+        build = make(pattern)
 
-    monkeypatch.setattr(rewrite_module, "apply_subst", counted)
+        def counting(node_class, ids):
+            if node_class.__name__ == "add":
+                calls.append((pattern, ids))
+            return build(node_class, ids)
+
+        return counting
+
+    monkeypatch.setattr(Pattern, "builder", property(counted))
     return calls
 
 
@@ -570,8 +580,9 @@ def test_node_limit_stop_comes_after_a_complete_write_phase(monkeypatch):
 
     left_out = 0
     for index, rw in enumerate(rules):
-        assert memo.seen[index] == keys(passed.get(id(rw), [])), rw.name
-        left_out += len(keys(fresh_by_rule.get(index, [])) - memo.seen[index])
+        seen = {(eclass, *ids) for eclass, done in memo.seen[index].items() for ids in done}
+        assert seen == keys(passed.get(id(rw), [])), rw.name
+        left_out += len(keys(fresh_by_rule.get(index, [])) - seen)
     assert left_out == 0, "the last write phase applies every kept instance"
     last = report.iterations[-1]
     assert last.rebuild_time > 0 and last.enodes == report.egraph.n_nodes() > 20
@@ -739,7 +750,9 @@ def test_substitution_dicts_are_made_only_for_applied_matches(monkeypatch, sched
         stats = [st for it in report.iterations for st in it.rules.values()]
         banned += sum(st.banned for st in stats)
         skipped += sum(st.skipped for st in stats)
-    assert made[0] == passed[0] + checked[0]
+    # a plain pattern applier is given the id tuples: only conditions read dicts
+    assert all(type(rw.applier) is PatternApplier for rw in rules)
+    assert made[0] == checked[0]
     assert passed[0] > 0 and checked[0] > 0
     assert skipped > 0
     # what a ban drops is neither applied, skipped nor checked, and builds
